@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out: the cost of
-//! the offline view-generation pipeline and of lock granularity.
+//! Ablation benches for two of Synergy's design choices: the cost of the
+//! offline view-generation pipeline and of lock granularity.
 
 use bench::ablation_lock_granularity;
 use criterion::{criterion_group, criterion_main, Criterion};

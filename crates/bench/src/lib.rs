@@ -1,22 +1,30 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§IX).
 //!
-//! Each `figNN_*` / `tableN_*` function runs one experiment end to end —
-//! building the evaluated systems, loading the scaled TPC-W dataset, running
-//! every statement the configured number of repetitions — and returns the
-//! rows of the corresponding figure or table.  The `report` binary prints
-//! them; the Criterion benches under `benches/` exercise the same harness.
+//! [`FIGURES`] is the registry: one entry per artifact of the `report`
+//! binary, each with the inputs it needs and a run function that returns
+//! typed rows under one column schema (see [`mod@figure`]).  That schema alone
+//! renders the text table and the `BENCH_report.json` fragment, and its
+//! column kinds tell the `bench_diff` gates (see [`gates`]) which values
+//! are deterministic sim measurements and which are wall-clock timings.
+//! The measurement functions (`fig10_micro`, `fig11_lock_overhead`, ...)
+//! are public so tests and the Criterion benches under `benches/` run the
+//! same code at their own scales.
 //!
 //! All response times are **simulated milliseconds** from the shared cost
-//! model (see `DESIGN.md` §7); the paper's absolute numbers came from an EC2
-//! cluster, so only the *shape* (orderings, approximate ratios, crossovers)
-//! is expected to match.
+//! model (its calibration is explained in `crates/simclock/src/cost.rs`);
+//! the paper's absolute numbers came from an EC2 cluster, so only the
+//! *shape* (orderings, approximate ratios, crossovers) is expected to match.
 
+pub mod figure;
+pub mod gates;
 pub mod json;
 
+use figure::{exact, row, sim, wall, Col, Fmt, Output, Schema, Shape, Table, Value, WALL};
 use nosql_store::{Cluster, ClusterConfig};
-use simclock::{Summary, SimDuration};
+use simclock::{SimDuration, Summary};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use synergy::LockManager;
 use tpcw::micro::MicroBench;
 use tpcw::queries::join_queries;
@@ -34,80 +42,247 @@ pub const DEFAULT_REPS: u64 = 10;
 pub const DEFAULT_CUSTOMERS: u64 = 500;
 
 // ---------------------------------------------------------------------
+// The figure registry
+// ---------------------------------------------------------------------
+
+/// The inputs a figure run may read: the scale, the repetitions, the
+/// fig10 worker count, and the comparison matrix shared by fig12, fig14,
+/// table2 and table3 (built on first use).
+pub struct Ctx {
+    /// Number of customers.
+    pub customers: u64,
+    /// Repetitions per measurement.
+    pub reps: u64,
+    /// Region-parallel workers of the fig10 measurements.
+    pub threads: usize,
+    matrix: OnceLock<ComparisonMatrix>,
+}
+
+impl Ctx {
+    /// A context at the given scale.
+    pub fn new(customers: u64, reps: u64, threads: usize) -> Ctx {
+        Ctx { customers, reps, threads, matrix: OnceLock::new() }
+    }
+
+    /// The shared comparison matrix, built on first use.
+    pub fn matrix(&self) -> &ComparisonMatrix {
+        self.matrix.get_or_init(|| comparison_matrix(self.customers, self.reps))
+    }
+}
+
+/// One artifact of the report: its name (on the command line and as the
+/// JSON key), whether it writes a JSON fragment (the qualitative tables are
+/// text only), the figures that must run before it (the matrix build, timed
+/// under its own name), the schemas of the parts its run returns, in order,
+/// and the run itself.
+pub struct Figure {
+    pub name: &'static str,
+    pub json: bool,
+    pub needs: &'static [&'static str],
+    pub(crate) parts: &'static [&'static Schema],
+    run: fn(&Ctx) -> Output,
+}
+
+impl Figure {
+    const fn new(name: &'static str, parts: &'static [&'static Schema], run: fn(&Ctx) -> Output) -> Figure {
+        Figure { name, json: true, needs: &[], parts, run }
+    }
+
+    const fn text_only(self) -> Figure {
+        Figure { json: false, ..self }
+    }
+
+    const fn on_matrix(self) -> Figure {
+        Figure { needs: &["comparison_matrix"], ..self }
+    }
+
+    /// Runs the figure, checking that it returned its declared parts.
+    pub fn produce(&self, ctx: &Ctx) -> Output {
+        let output = (self.run)(ctx);
+        let parts = output.parts.iter().map(|t| t.schema);
+        assert!(parts.eq(self.parts.iter().copied()), "{}: parts differ from the declared schemas", self.name);
+        output
+    }
+}
+
+/// Dumps the Q1/Q2 plan trees, baseline vs view-rewritten (`report
+/// --explain`, not part of `all`).
+pub const EXPLAIN: Figure = Figure::new("explain", &[&EXPLAIN_QUERIES], run_explain);
+
+/// Every artifact of the report, in `all` order.
+pub const FIGURES: &[Figure] = &[
+    Figure::new("table1", &[&TABLE1], |_| table1_qualitative().into()).text_only(),
+    Figure::new("fig10", &[&WALL, &FIG10_ROWS, &FIG10_PREPARED_ROWS, &LIMIT_WALL, &FIG10_LIMIT_ROWS], run_fig10),
+    // At the largest fig10 scale, where the view spans several regions.
+    Figure::new("fig_par", &[&WALL, &FIG_PAR_ROWS], |ctx| {
+        timed(|| fig_par(fig10_scales(ctx.customers)[2], &FIG_PAR_THREADS, ctx.reps))
+    }),
+    Figure::new("fig11", &[&WALL, &FIG11_ROWS], |ctx| timed(|| fig11_lock_overhead(&[10, 100, 1000], ctx.reps))),
+    Figure::new("fig13", &[&FIG13], |_| fig13_mechanisms().into()).text_only(),
+    Figure::new("comparison_matrix", &[&WALL], |ctx| {
+        timed(|| {
+            ctx.matrix();
+            Output::default()
+        })
+    }),
+    Figure::new("fig12", &[&FIG12], |ctx| matrix_figure(ctx.matrix(), &FIG12, 'Q')).on_matrix(),
+    Figure::new("fig14", &[&FIG14], |ctx| matrix_figure(ctx.matrix(), &FIG14, 'W')).on_matrix(),
+    Figure::new("table2", &[&TABLE2], |ctx| table2_totals(ctx.matrix()).into()).on_matrix(),
+    Figure::new("table3", &[&TABLE3], |ctx| table3_sizes(ctx.matrix()).into()).on_matrix(),
+    Figure::new("fig_writes", &[&WALL, &FIG_WRITES_RATIO, &FIG_WRITES_ROWS, &FIG_WRITES_BURST_ROWS], |ctx| {
+        timed(|| fig_writes(ctx.customers, FIG_WRITES_COUNT, ctx.threads))
+    }),
+    // Recovery is scale-independent: the smallest fig10 scale suffices.
+    Figure::new("fig_faults", &[&WALL, &FIG_FAULTS_ROWS, &FIG_FAULTS_RECOVERY], |ctx| {
+        timed(|| fig_faults(fig10_scales(ctx.customers)[0], FIG_FAULTS_OPS))
+    }),
+    Figure::new("fig_availability", &[&WALL, &FIG_AVAILABILITY_SETUP, &FIG_AVAILABILITY_ROWS], |_| {
+        timed(|| fig_availability(FIG_AVAILABILITY_OPS))
+    }),
+    Figure::new("fig_partial", &[&WALL, &FIG_PARTIAL_SETUP, &FIG_PARTIAL_BASELINES, &FIG_PARTIAL_ROWS], |ctx| {
+        timed(|| fig_partial(ctx.customers))
+    }),
+    Figure::new("ablation", &[&WALL, &ABLATION], |_| timed(|| ablation_lock_granularity(&[1, 10, 100, 1000]))),
+];
+
+/// The registry entry named `name` ([`FIGURES`] or [`EXPLAIN`]).
+pub(crate) fn figure_named(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().chain([&EXPLAIN]).find(|f| f.name == name)
+}
+
+/// Runs `f` under a figure-level `wall_ms`, followed by what it returned.
+fn timed<T: Into<Output>>(f: impl FnOnce() -> T) -> Output {
+    let mut out = Output::default();
+    let inner: Output = out.timed(&WALL, f).into();
+    out.parts.extend(inner.parts);
+    out
+}
+
+/// The customer scales of the Figure 10 sweep (the paper scales ×10 per
+/// step; the sweep here is ×4 anchored at a laptop-friendly base).
+fn fig10_scales(customers: u64) -> [u64; 3] {
+    let base = (customers / 4).clamp(25, 250);
+    [base, base * 4, base * 16]
+}
+
+// ---------------------------------------------------------------------
+// EXPLAIN: the micro-benchmark plan trees
+// ---------------------------------------------------------------------
+
+const EXPLAIN_QUERIES: Schema = Schema::rows(
+    "queries",
+    "EXPLAIN: micro-benchmark plan trees (baseline vs view-rewritten)",
+    &[exact("query", "", Fmt::Plain), exact("baseline", "", Fmt::Plain), exact("synergy", "", Fmt::Plain)],
+    "",
+);
+
+/// Plan trees for the micro queries at the smallest fig10 scale: the plan
+/// shape is scale-independent, so the cheapest deployment suffices to show
+/// the view-rewrite rule firing inside the planner.
+fn run_explain(ctx: &Ctx) -> Output {
+    let bench = MicroBench::build_with_threads(fig10_scales(ctx.customers)[0], ctx.threads)
+        .expect("micro benchmark builds");
+    let mut out = Output::default();
+    let mut table = Table::new(&EXPLAIN_QUERIES);
+    for query_index in 0..2 {
+        let e = bench.explain(query_index).expect("plans render");
+        for (label, plan) in [
+            ("join algorithm (base tables)", &e.baseline),
+            ("Synergy read path (view rewrite as a planner rule)", &e.synergy),
+        ] {
+            out.notes.push(format!("{} — {label}:", e.query));
+            out.notes.extend(plan.lines().map(|line| format!("    {line}")));
+        }
+        table.push(row![e.query, e.baseline, e.synergy]);
+    }
+    out.parts.push(table);
+    out
+}
+
+// ---------------------------------------------------------------------
 // Figure 10: micro-benchmark (view scan vs join algorithm)
 // ---------------------------------------------------------------------
 
-/// One row of Figure 10.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    /// "Q1" or "Q2".
-    pub query: &'static str,
-    /// Number of customers.
-    pub customers: u64,
-    /// Mean simulated response time of the view scan (ms).
-    pub view_scan_ms: Summary,
-    /// Mean simulated response time of the join algorithm (ms).
-    pub join_ms: Summary,
-    /// Mean wall-clock time of the view scan (ms).
-    pub view_scan_wall_ms: Summary,
-    /// Mean wall-clock time of the join algorithm (ms).
-    pub join_wall_ms: Summary,
-    /// join / view-scan speedup in simulated time.
-    pub speedup: f64,
-    /// join / view-scan speedup in wall-clock time.
-    pub wall_speedup: f64,
-    /// Peak rows the executor held materialized during the view scan
-    /// (max across repetitions).
-    pub view_peak_rows: u64,
-    /// Peak rows the executor held materialized during the join.
-    pub join_peak_rows: u64,
-    /// Plan-cache hits the Synergy session served while this row's view
-    /// measurements repeated (first repetition compiles, the rest hit).
-    pub plan_cache_hits: u64,
-}
+/// The `k` of the Figure 10 LIMIT companion query.
+const FIG10_LIMIT_K: usize = 50;
 
-/// One row of the Figure 10 prepared-statement companion: a point lookup
-/// executed through the one-shot path (all pipeline phases per call) vs a
-/// prepared statement (plan compiled once, re-executed with fresh
-/// parameters).  Wall-clock only — both paths charge identical simulated
-/// cost.
-#[derive(Debug, Clone)]
-pub struct Fig10PreparedRow {
-    /// Number of customers.
-    pub customers: u64,
-    /// Executions per timed loop.
-    pub executions: u64,
-    /// Mean one-shot microseconds per execution.
-    pub oneshot_us_per_exec: f64,
-    /// Mean prepared microseconds per execution.
-    pub prepared_us_per_exec: f64,
-    /// one-shot / prepared speedup.
-    pub prepared_speedup: f64,
-    /// Cumulative plan-cache hits of this scale's Synergy session — the
-    /// whole deployment's counters, **not** a per-loop delta like
-    /// [`Fig10Row::plan_cache_hits`] (the JSON field is named
-    /// `session_plan_cache_hits` to keep the two distinguishable).
-    pub session_plan_cache_hits: u64,
-    /// Cumulative plan-cache misses (compiles) of this scale's session.
-    pub session_plan_cache_misses: u64,
-}
+/// Executions per timed loop of the fig10 prepared-statement companion.
+const FIG10_PREPARED_EXECS: u64 = 500;
 
-/// The full Figure 10 output: per-query view-vs-join rows plus the
-/// prepared-statement companion rows.
-#[derive(Debug, Clone, Default)]
-pub struct Fig10Output {
-    /// View scan vs join algorithm, per query per scale.
-    pub rows: Vec<Fig10Row>,
-    /// Prepared vs one-shot, per scale (empty when `prepared_execs` = 0).
-    pub prepared: Vec<Fig10PreparedRow>,
+/// The LIMIT companion's own wall time, kept out of `fig10.wall_ms` so that
+/// figure stays comparable across report versions.
+const LIMIT_WALL: Schema = Schema::fields("", &[wall("limit_wall_ms", "", Fmt::Plain)], "");
+
+const FIG10_ROWS: Schema = Schema::rows(
+    "rows",
+    "Figure 10: micro-benchmark, view scan vs join algorithm",
+    &[
+        exact("query", "query", Fmt::Plain),
+        exact("customers", "customers", Fmt::Plain),
+        sim("view_sim_ms", "view scan (ms)", Fmt::Dec(1)),
+        sim("join_sim_ms", "join algo (ms)", Fmt::Dec(1)),
+        wall("view_wall_ms", "view wall (ms)", Fmt::Dec(2)),
+        wall("join_wall_ms", "join wall (ms)", Fmt::Dec(2)),
+        sim("sim_speedup", "speedup", Fmt::Times(1)),
+        wall("wall_speedup", "", Fmt::Plain),
+        sim("view_peak_rows_resident", "", Fmt::Plain),
+        sim("join_peak_rows_resident", "", Fmt::Plain),
+        sim("plan_cache_hits", "", Fmt::Plain),
+    ],
+    "(paper: view scan 6x / 11.7x faster than the join at 50k customers)",
+);
+
+/// A point lookup through the one-shot path (all pipeline phases per call)
+/// vs a prepared statement (plan compiled once).  The timings are wall
+/// clock only — both paths charge identical simulated cost.
+const FIG10_PREPARED_ROWS: Schema = Schema::rows(
+    "prepared_rows",
+    "Figure 10 companion: prepared statements vs one-shot (point lookup)",
+    &[
+        exact("customers", "customers", Fmt::Plain),
+        exact("executions", "executions", Fmt::Plain),
+        wall("oneshot_us_per_exec", "one-shot (us)", Fmt::Dec(2)),
+        wall("prepared_us_per_exec", "prepared (us)", Fmt::Dec(2)),
+        wall("prepared_speedup", "speedup", Fmt::Times(2)),
+        sim("session_plan_cache_hits", "session hits", Fmt::Plain),
+        sim("session_plan_cache_misses", "session misses", Fmt::Plain),
+    ],
+    "(prepared = one compiled plan re-executed; one-shot re-runs parse/bind/plan per call)",
+);
+
+const FIG10_LIMIT_ROWS: Schema = Schema::rows(
+    "limit_rows",
+    "Figure 10 companion: Q1 view scan with LIMIT (streaming pushdown)",
+    &[
+        exact("customers", "customers", Fmt::Plain),
+        exact("limit", "limit", Fmt::Plain),
+        sim("store_rows_scanned", "store rows scanned", Fmt::Plain),
+        sim("peak_rows_resident", "peak rows resident", Fmt::Plain),
+        sim("view_sim_ms", "view scan (ms)", Fmt::Dec(2)),
+        wall("view_wall_ms", "wall (ms)", Fmt::Dec(2)),
+    ],
+    "(store rows scanned must stay at the limit while the database grows)",
+);
+
+fn run_fig10(ctx: &Ctx) -> Output {
+    let scales = fig10_scales(ctx.customers);
+    let mut out = Output::default();
+    let (rows, prepared) = out.timed(&WALL, || {
+        fig10_micro_with_prepared(&scales, ctx.reps, ctx.threads, FIG10_PREPARED_EXECS)
+    });
+    out.parts.push(rows);
+    out.parts.push(prepared);
+    let limit = out.timed(&LIMIT_WALL, || fig10_limit(&scales, FIG10_LIMIT_K, ctx.reps, ctx.threads));
+    out.parts.push(limit);
+    out
 }
 
 /// Runs the §IX-B micro-benchmark for every scale in `customer_scales`,
 /// with region-parallel execution at `threads` workers (1 = the serial
 /// pipeline; sim figures at 1 thread are byte-identical to earlier report
 /// versions).
-pub fn fig10_micro(customer_scales: &[u64], reps: u64, threads: usize) -> Vec<Fig10Row> {
-    fig10_micro_with_prepared(customer_scales, reps, threads, 0).rows
+pub fn fig10_micro(customer_scales: &[u64], reps: u64, threads: usize) -> Table {
+    fig10_micro_with_prepared(customer_scales, reps, threads, 0).0
 }
 
 /// [`fig10_micro`] plus the prepared-statement companion: after each
@@ -120,93 +295,72 @@ pub fn fig10_micro_with_prepared(
     reps: u64,
     threads: usize,
     prepared_execs: u64,
-) -> Fig10Output {
-    let mut out = Fig10Output::default();
+) -> (Table, Table) {
+    let mut rows = Table::new(&FIG10_ROWS);
+    let mut prepared = Table::new(&FIG10_PREPARED_ROWS);
     for &customers in customer_scales {
         let bench =
             MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
         for query_index in 0..2 {
-            let mut view_samples = Vec::new();
-            let mut join_samples = Vec::new();
-            let mut view_wall_samples = Vec::new();
-            let mut join_wall_samples = Vec::new();
-            let mut view_peak_rows = 0u64;
-            let mut join_peak_rows = 0u64;
             let hits_before = bench.system().plan_cache_stats().hits;
-            for _ in 0..reps {
-                let m = bench.measure(query_index).expect("measurement succeeds");
-                view_samples.push(m.view_scan.as_millis_f64());
-                join_samples.push(m.join_algorithm.as_millis_f64());
-                view_wall_samples.push(m.view_scan_wall.as_secs_f64() * 1_000.0);
-                join_wall_samples.push(m.join_wall.as_secs_f64() * 1_000.0);
-                view_peak_rows = view_peak_rows.max(m.view_peak_rows as u64);
-                join_peak_rows = join_peak_rows.max(m.join_peak_rows as u64);
-            }
+            let ([view, join, view_wall, join_wall], peaks) = view_vs_join(&bench, query_index, reps);
             let plan_cache_hits = bench.system().plan_cache_stats().hits - hits_before;
-            let view = Summary::of(&view_samples);
-            let join = Summary::of(&join_samples);
-            let view_wall = Summary::of(&view_wall_samples);
-            let join_wall = Summary::of(&join_wall_samples);
-            out.rows.push(Fig10Row {
-                query: if query_index == 0 { "Q1" } else { "Q2" },
+            let speedup = join.mean / view.mean.max(f64::EPSILON);
+            rows.push(row![
+                if query_index == 0 { "Q1" } else { "Q2" },
                 customers,
-                speedup: join.mean / view.mean.max(f64::EPSILON),
-                wall_speedup: join_wall.mean / view_wall.mean.max(f64::EPSILON),
-                view_scan_ms: view,
-                join_ms: join,
-                view_scan_wall_ms: view_wall,
-                join_wall_ms: join_wall,
-                view_peak_rows,
-                join_peak_rows,
+                view,
+                join,
+                view_wall.mean,
+                join_wall.mean,
+                speedup,
+                join_wall.mean / view_wall.mean.max(f64::EPSILON),
+                peaks[0],
+                peaks[1],
                 plan_cache_hits,
-            });
+            ]);
         }
         if prepared_execs > 0 {
             let m = bench
                 .measure_prepared(prepared_execs)
                 .expect("prepared comparison succeeds");
-            out.prepared.push(Fig10PreparedRow {
+            prepared.push(row![
                 customers,
-                executions: m.executions,
-                oneshot_us_per_exec: m.oneshot_us_per_exec(),
-                prepared_us_per_exec: m.prepared_us_per_exec(),
-                prepared_speedup: m.speedup(),
-                session_plan_cache_hits: m.cache_stats.hits,
-                session_plan_cache_misses: m.cache_stats.misses,
-            });
+                m.executions,
+                m.oneshot_us_per_exec(),
+                m.prepared_us_per_exec(),
+                m.speedup(),
+                m.cache_stats.hits,
+                m.cache_stats.misses,
+            ]);
         }
     }
-    out
+    (rows, prepared)
 }
 
-/// One row of the Figure 10 LIMIT companion: Q1 with `LIMIT k` through the
-/// view-backed read path, with the store rows the scan actually touched.
-#[derive(Debug, Clone)]
-pub struct Fig10LimitRow {
-    /// Number of customers.
-    pub customers: u64,
-    /// The `k` of `LIMIT k`.
-    pub limit: usize,
-    /// Store rows touched by the scan — O(k), customer-count independent.
-    pub store_rows_scanned: u64,
-    /// Peak rows the executor held materialized (max across repetitions).
-    pub peak_rows_resident: u64,
-    /// Mean simulated response time (ms).
-    pub view_scan_ms: Summary,
-    /// Mean wall-clock response time (ms).
-    pub view_scan_wall_ms: Summary,
+/// `reps` measurements of micro query `query_index` through both strategies:
+/// view-scan and join summaries in sim then wall milliseconds, and each
+/// strategy's peak rows resident.
+fn view_vs_join(bench: &MicroBench, query_index: usize, reps: u64) -> ([Summary; 4], [u64; 2]) {
+    let mut samples: [Vec<f64>; 4] = Default::default();
+    let mut peaks = [0u64; 2];
+    for _ in 0..reps {
+        let m = bench.measure(query_index).expect("measurement succeeds");
+        let wall_ms = |d: std::time::Duration| d.as_secs_f64() * 1_000.0;
+        let values = [m.view_scan.as_millis_f64(), m.join_algorithm.as_millis_f64(), wall_ms(m.view_scan_wall), wall_ms(m.join_wall)];
+        for (samples, value) in samples.iter_mut().zip(values) {
+            samples.push(value);
+        }
+        peaks = [peaks[0].max(m.view_peak_rows as u64), peaks[1].max(m.join_peak_rows as u64)];
+    }
+    (samples.map(|s| Summary::of(&s)), peaks)
 }
 
 /// Runs the LIMIT-bearing micro-query at every scale: demonstrates that the
 /// streaming pipeline makes `LIMIT k` response independent of database size
 /// (store rows scanned stays at `k` while the database grows).
-pub fn fig10_limit(
-    customer_scales: &[u64],
-    limit: usize,
-    reps: u64,
-    threads: usize,
-) -> Vec<Fig10LimitRow> {
-    let mut rows = Vec::new();
+pub fn fig10_limit(customer_scales: &[u64], limit: usize, reps: u64, threads: usize) -> Table {
+    let mut rows = Table::new(&FIG10_LIMIT_ROWS);
     for &customers in customer_scales {
         let bench =
             MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
@@ -221,14 +375,14 @@ pub fn fig10_limit(
             store_rows_scanned = store_rows_scanned.max(m.store_rows_scanned);
             peak_rows_resident = peak_rows_resident.max(m.peak_rows_resident as u64);
         }
-        rows.push(Fig10LimitRow {
+        rows.push(row![
             customers,
             limit,
             store_rows_scanned,
             peak_rows_resident,
-            view_scan_ms: Summary::of(&sim_samples),
-            view_scan_wall_ms: Summary::of(&wall_samples),
-        });
+            Summary::of(&sim_samples).mean,
+            Summary::of(&wall_samples).mean,
+        ]);
     }
     rows
 }
@@ -237,76 +391,57 @@ pub fn fig10_limit(
 // fig_par: region-parallel execution sweep (the --threads axis)
 // ---------------------------------------------------------------------
 
-/// One row of the region-parallel sweep: Q2 (the deepest micro join) at one
-/// thread count, through both evaluation strategies.
-#[derive(Debug, Clone)]
-pub struct FigParRow {
-    /// Worker count for this row.
-    pub threads: usize,
-    /// Number of customers.
-    pub customers: u64,
-    /// Mean simulated response time of the view scan (ms).
-    pub view_scan_ms: Summary,
-    /// Mean simulated response time of the join algorithm (ms).
-    pub join_ms: Summary,
-    /// Mean wall-clock time of the view scan (ms).
-    pub view_scan_wall_ms: Summary,
-    /// Mean wall-clock time of the join algorithm (ms).
-    pub join_wall_ms: Summary,
-    /// join / view-scan speedup in simulated time.
-    pub speedup: f64,
-    /// join / view-scan speedup in wall-clock time.
-    pub wall_speedup: f64,
-    /// View-scan sim time at 1 thread / at this thread count (≥ 1 once the
-    /// table spans several regions; exactly 1 at `threads = 1`).
-    pub view_sim_x_vs_serial: f64,
-    /// View-scan wall time at 1 thread / at this thread count.
-    pub view_wall_x_vs_serial: f64,
-}
+/// The thread counts the fig_par sweep measures.
+const FIG_PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+const FIG_PAR_ROWS: Schema = Schema::rows(
+    "rows",
+    "fig_par: region-parallel execution sweep (Q2, deepest micro join)",
+    &[
+        exact("threads", "threads", Fmt::Plain),
+        exact("customers", "customers", Fmt::Plain),
+        sim("view_sim_ms", "view sim (ms)", Fmt::Dec(1)),
+        sim("join_sim_ms", "join sim (ms)", Fmt::Dec(1)),
+        wall("view_wall_ms", "view wall (ms)", Fmt::Dec(2)),
+        wall("join_wall_ms", "join wall (ms)", Fmt::Dec(2)),
+        sim("sim_speedup", "", Fmt::Plain),
+        wall("wall_speedup", "", Fmt::Plain),
+        sim("view_sim_x_vs_serial", "sim x vs 1t", Fmt::Times(2)),
+        wall("view_wall_x_vs_serial", "wall x vs 1t", Fmt::Times(2)),
+    ],
+    "(per-worker sim deltas merge as max; threads=1 equals the serial pipeline)",
+);
 
 /// Sweeps the micro-benchmark's Q2 (Customer ⋈ Orders ⋈ Order_line) across
 /// `threads_axis`, measuring both strategies at each width.  The first axis
 /// entry is the baseline for the `*_x_vs_serial` ratios (callers pass 1
 /// first).  Sim figures are deterministic at every width — per-worker clock
 /// deltas merge as `max`, independent of OS scheduling.
-pub fn fig_par(customers: u64, threads_axis: &[usize], reps: u64) -> Vec<FigParRow> {
-    let mut rows: Vec<FigParRow> = Vec::new();
+pub fn fig_par(customers: u64, threads_axis: &[usize], reps: u64) -> Table {
+    let mut rows = Table::new(&FIG_PAR_ROWS);
     let mut base_sim = f64::NAN;
     let mut base_wall = f64::NAN;
     for &threads in threads_axis {
         let bench =
             MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
-        let mut view_samples = Vec::new();
-        let mut join_samples = Vec::new();
-        let mut view_wall_samples = Vec::new();
-        let mut join_wall_samples = Vec::new();
-        for _ in 0..reps {
-            let m = bench.measure(1).expect("Q2 measurement succeeds");
-            view_samples.push(m.view_scan.as_millis_f64());
-            join_samples.push(m.join_algorithm.as_millis_f64());
-            view_wall_samples.push(m.view_scan_wall.as_secs_f64() * 1_000.0);
-            join_wall_samples.push(m.join_wall.as_secs_f64() * 1_000.0);
-        }
-        let view = Summary::of(&view_samples);
-        let join = Summary::of(&join_samples);
-        let view_wall = Summary::of(&view_wall_samples);
-        let join_wall = Summary::of(&join_wall_samples);
+        let (summaries, _) = view_vs_join(&bench, 1, reps);
+        let [view, join, view_wall, join_wall] = summaries.map(|s| s.mean);
         if rows.is_empty() {
-            base_sim = view.mean;
-            base_wall = view_wall.mean;
+            base_sim = view;
+            base_wall = view_wall;
         }
-        rows.push(FigParRow {
+        rows.push(row![
             threads,
             customers,
-            speedup: join.mean / view.mean.max(f64::EPSILON),
-            wall_speedup: join_wall.mean / view_wall.mean.max(f64::EPSILON),
-            view_sim_x_vs_serial: base_sim / view.mean.max(f64::EPSILON),
-            view_wall_x_vs_serial: base_wall / view_wall.mean.max(f64::EPSILON),
-            view_scan_ms: view,
-            join_ms: join,
-            view_scan_wall_ms: view_wall,
-            join_wall_ms: join_wall,
-        });
+            view,
+            join,
+            view_wall,
+            join_wall,
+            join / view.max(f64::EPSILON),
+            join_wall / view_wall.max(f64::EPSILON),
+            base_sim / view.max(f64::EPSILON),
+            base_wall / view_wall.max(f64::EPSILON),
+        ]);
     }
     rows
 }
@@ -315,66 +450,55 @@ pub fn fig_par(customers: u64, threads_axis: &[usize], reps: u64) -> Vec<FigParR
 // fig_writes: delta-dataflow view maintenance vs scan-based maintenance
 // ---------------------------------------------------------------------
 
-/// One maintenance-mode row of the write-heavy figure: `writes` updates of
-/// Customer rows (the W13 shape) through one maintenance strategy.
-#[derive(Debug, Clone)]
-pub struct FigWritesModeRow {
-    /// "delta" (incremental propagation through the view's plan IR) or
-    /// "scan" (the legacy find-affected-rows-by-scanning path).
-    pub mode: &'static str,
-    /// Number of customers.
-    pub customers: u64,
-    /// Updates executed.
-    pub writes: u64,
-    /// Mean simulated milliseconds per write (base write + maintenance).
-    pub sim_ms_per_write: f64,
-    /// Wall-clock write throughput of the loop.
-    pub wall_writes_per_sec: f64,
-    /// Store rows scanned per write (`OpCounters::scanned_rows` delta) —
-    /// the cost driver the delta path attacks.
-    pub store_rows_scanned_per_write: f64,
-    /// View rows written (rewritten/inserted/removed) per write.
-    pub view_rows_touched_per_write: f64,
-}
-
-/// One burst row of the coalescing sweep: `burst` consecutive updates of
-/// the *same* Customer row through a capacity-256 write batch, flushed once
-/// (coalesced) vs flushed after every write (uncoalesced).
-#[derive(Debug, Clone)]
-pub struct FigWritesBurstRow {
-    /// Updates in the burst (all to one key).
-    pub burst: u64,
-    /// Simulated ms of the single flush after the whole burst.
-    pub coalesced_flush_sim_ms: f64,
-    /// Total simulated ms of flushing after every write of the burst.
-    pub uncoalesced_flush_sim_ms: f64,
-    /// Buffer merges the burst produced (burst - 1 when fully coalesced).
-    pub coalesced_merges: u64,
-    /// Coalesced flush cost relative to the burst-1 flush — the batching
-    /// guarantee is that this stays ≤ 2 regardless of burst size.
-    pub ratio_vs_single: f64,
-}
-
-/// The full write-heavy figure.
-#[derive(Debug, Clone, Default)]
-pub struct FigWritesOutput {
-    /// Delta-vs-scan comparison rows (one per maintenance mode).
-    pub rows: Vec<FigWritesModeRow>,
-    /// Coalescing burst sweep (delta mode, write batch capacity 256).
-    pub bursts: Vec<FigWritesBurstRow>,
-    /// scan / delta store-rows-scanned-per-write ratio (the figure's
-    /// headline: how many fewer rows the delta path reads per write).
-    pub rows_ratio: f64,
-}
+/// Updates per maintenance mode in the report's fig_writes comparison.
+const FIG_WRITES_COUNT: u64 = 20;
 
 /// The burst sizes of the coalescing sweep.
 pub const FIG_WRITES_BURSTS: [u64; 3] = [1, 16, 256];
+
+/// The figure's headline: how many fewer store rows per write the delta
+/// path reads than scan-based maintenance.
+const FIG_WRITES_RATIO: Schema = Schema::fields(
+    "fig_writes: delta-dataflow vs scan-based view maintenance",
+    &[sim("rows_ratio", "store rows scanned, scan / delta", Fmt::Times(1))],
+    "(delta probes maintenance indexes instead of scanning views)",
+);
+
+const FIG_WRITES_ROWS: Schema = Schema::rows(
+    "rows",
+    "",
+    &[
+        exact("mode", "mode", Fmt::Plain),
+        exact("customers", "customers", Fmt::Plain),
+        exact("writes", "writes", Fmt::Plain),
+        sim("sim_ms_per_write", "sim ms/write", Fmt::Dec(2)),
+        wall("wall_writes_per_sec", "writes/sec", Fmt::Dec(0)),
+        sim("store_rows_scanned_per_write", "rows scanned/wr", Fmt::Dec(1)),
+        sim("view_rows_touched_per_write", "view rows/wr", Fmt::Dec(1)),
+    ],
+    "",
+);
+
+/// `burst` consecutive updates of one Customer row through a capacity-256
+/// write batch, flushed once (coalesced) vs after every write.
+const FIG_WRITES_BURST_ROWS: Schema = Schema::rows(
+    "bursts",
+    "",
+    &[
+        exact("burst", "burst", Fmt::Plain),
+        sim("coalesced_flush_sim_ms", "coalesced flush (ms)", Fmt::Dec(2)),
+        sim("uncoalesced_flush_sim_ms", "uncoalesced flush (ms)", Fmt::Dec(2)),
+        sim("coalesced_merges", "merges", Fmt::Plain),
+        sim("ratio_vs_single", "ratio vs 1-write", Fmt::Times(2)),
+    ],
+    "(single-key bursts coalesce in the write batch: one flush ≈ one write's maintenance)",
+);
 
 /// Runs the write-heavy maintenance figure on the micro-benchmark schema:
 /// `writes` W13-shaped Customer updates through delta-dataflow maintenance
 /// and through the legacy scan path, then the single-key coalescing burst
 /// sweep.  All sim figures are deterministic at `threads = 1`.
-pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> FigWritesOutput {
+pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Output {
     use relational::Value;
     use sql::parse_statement;
 
@@ -390,7 +514,7 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> FigWritesOutpu
         ]
     };
 
-    let mut out = FigWritesOutput::default();
+    let mut rows = Table::new(&FIG_WRITES_ROWS);
     for (mode, delta) in [("delta", true), ("scan", false)] {
         let bench = MicroBench::build_with_maintenance(customers, threads, delta, 1)
             .expect("micro benchmark builds");
@@ -411,24 +535,21 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> FigWritesOutpu
         let ops = system.cluster().metrics().ops.delta_since(&ops_before);
         let touched = system.maintenance_stats().view_rows_touched - touched_before;
         let per_write = writes.max(1) as f64;
-        out.rows.push(FigWritesModeRow {
+        rows.push(row![
             mode,
             customers,
             writes,
-            sim_ms_per_write: sim_ms / per_write,
-            wall_writes_per_sec: per_write / wall_secs.max(f64::EPSILON),
-            store_rows_scanned_per_write: ops.scanned_rows as f64 / per_write,
-            view_rows_touched_per_write: touched as f64 / per_write,
-        });
+            sim_ms / per_write,
+            per_write / wall_secs.max(f64::EPSILON),
+            ops.scanned_rows as f64 / per_write,
+            touched as f64 / per_write,
+        ]);
     }
     let scanned_of = |mode: &str| {
-        out.rows
-            .iter()
-            .find(|r| r.mode == mode)
-            .map(|r| r.store_rows_scanned_per_write)
-            .unwrap_or(f64::NAN)
+        rows.find("mode", mode)
+            .map_or(f64::NAN, |r| r.num("store_rows_scanned_per_write"))
     };
-    out.rows_ratio = scanned_of("scan") / scanned_of("delta").max(f64::EPSILON);
+    let rows_ratio = scanned_of("scan") / scanned_of("delta").max(f64::EPSILON);
 
     // Coalescing sweep: every burst hammers one key through a large write
     // batch.  The buffer merges consecutive updates of the same base key,
@@ -438,6 +559,7 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> FigWritesOutpu
         .expect("buffered micro benchmark builds");
     let system = bench.system();
     let clock = system.cluster().clock().clone();
+    let mut bursts = Table::new(&FIG_WRITES_BURST_ROWS);
     let mut single_flush_sim = f64::NAN;
     for burst in FIG_WRITES_BURSTS {
         let merges_before = system.maintenance_stats().coalesced_merges;
@@ -464,14 +586,18 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> FigWritesOutpu
         if burst == FIG_WRITES_BURSTS[0] {
             single_flush_sim = coalesced_flush_sim_ms;
         }
-        out.bursts.push(FigWritesBurstRow {
+        bursts.push(row![
             burst,
             coalesced_flush_sim_ms,
             uncoalesced_flush_sim_ms,
             coalesced_merges,
-            ratio_vs_single: coalesced_flush_sim_ms / single_flush_sim.max(f64::EPSILON),
-        });
+            coalesced_flush_sim_ms / single_flush_sim.max(f64::EPSILON),
+        ]);
     }
+    let mut out = Output::default();
+    out.fields(&FIG_WRITES_RATIO, row![rows_ratio]);
+    out.parts.push(rows);
+    out.parts.push(bursts);
     out
 }
 
@@ -491,6 +617,44 @@ pub const FIG_FAULTS_OPS: u64 = 600;
 /// Seed of the sweep's fault and retry RNGs — the determinism contract is
 /// that the same seed and fault plan reproduce the same figures exactly.
 pub const FIG_FAULTS_SEED: u64 = 0x5EED_FA17;
+
+const FIG_FAULTS_ROWS: Schema = Schema::rows(
+    "rows",
+    "fig_faults: injected faults × retry policy, and crash recovery",
+    &[
+        exact("retry", "retry", Fmt::Plain),
+        exact("fault_rate", "faults", Fmt::Pct(1)),
+        exact("ops", "ops", Fmt::Plain),
+        sim("ok_ops", "ok", Fmt::Plain),
+        sim("goodput_ops_per_sim_sec", "goodput/sim-s", Fmt::Dec(1)),
+        sim("p95_sim_ms", "p95 sim ms", Fmt::Dec(2)),
+        sim("injected_op_faults", "injected", Fmt::Plain),
+        sim("slowdowns", "", Fmt::Plain),
+        sim("retries", "retries", Fmt::Plain),
+        sim("giveups", "giveups", Fmt::Plain),
+        sim("goodput_vs_no_fault", "vs no-fault", Fmt::Times(3)),
+    ],
+    "",
+);
+
+/// The mid-transaction crash (interrupted after step 5, the worst case —
+/// views updated but still marked dirty) followed by
+/// `SynergySystem::recover`.
+const FIG_FAULTS_RECOVERY: Schema = Schema { shape: Shape::Record, ..Schema::rows(
+    "recovery",
+    "fig_faults: mid-transaction crash, then recovery",
+    &[
+        exact("interrupted_step", "txn interrupted after step", Fmt::Plain),
+        sim("dirty_fallbacks", "dirty-read fallbacks", Fmt::Plain),
+        sim("recovery_sim_ms", "crash + recover (sim ms)", Fmt::Dec(1)),
+        sim("replayed_entries", "WAL records replayed", Fmt::Plain),
+        sim("locks_reclaimed", "locks reclaimed", Fmt::Plain),
+        sim("view_rows_rolled_forward", "view rows rolled forward", Fmt::Plain),
+        sim("lost_acked_synced_writes", "lost acked-synced writes", Fmt::Plain),
+        sim("dirty_view_rows_after_recovery", "dirty views left", Fmt::Plain),
+    ],
+    "(same seed + same fault plan => byte-identical figures; gates: zero losses, zero dirty views)",
+)};
 
 /// What one run of the store-level fault workload did.
 #[derive(Debug, Clone)]
@@ -517,39 +681,20 @@ impl FaultWorkloadOutcome {
     }
 }
 
-/// Runs the deterministic store-level workload — a fixed mix of puts, gets
-/// and short scans over a preloaded table — under the given fault plan and
-/// retry policy.  The preload goes through `bulk_load` (charged but never
-/// faulted), so every cell of the sweep starts from identical state.
-pub fn run_fault_workload(
-    plan: Option<nosql_store::FaultPlan>,
-    retry: Option<nosql_store::RetryPolicy>,
+/// Runs the store-level workload of the fault figures (see
+/// [`run_fault_workload_rf`]) on a cluster built from `config`.  `on_op`
+/// sees each op's index, start instant (sim ns), sim latency and success;
+/// returns the cluster and the loop's sim time.
+fn store_workload(
+    config: ClusterConfig,
     ops: u64,
-) -> FaultWorkloadOutcome {
-    // rf = 1 is the byte-identical legacy configuration, so every caller of
-    // this function keeps its committed figures.
-    run_fault_workload_rf(plan, retry, ops, 1)
-}
-
-/// [`run_fault_workload`] at an explicit replication factor (the fault
-/// matrix's RF ≥ 2 scenarios; `rf = 1` is exactly the legacy workload).
-pub fn run_fault_workload_rf(
-    plan: Option<nosql_store::FaultPlan>,
-    retry: Option<nosql_store::RetryPolicy>,
-    ops: u64,
-    rf: usize,
-) -> FaultWorkloadOutcome {
+    mut on_op: impl FnMut(u64, u64, SimDuration, bool),
+) -> (Cluster, SimDuration) {
     use nosql_store::ops::{Get, Put, Scan};
-    use nosql_store::TableSchema;
 
-    let cluster = Cluster::new(ClusterConfig {
-        fault_plan: plan,
-        retry,
-        replication_factor: rf,
-        ..ClusterConfig::default()
-    });
+    let cluster = Cluster::new(config);
     cluster
-        .create_table(TableSchema::new("t").with_family("cf"))
+        .create_table(nosql_store::TableSchema::new("t").with_family("cf"))
         .expect("workload table");
     cluster
         .bulk_load(
@@ -561,100 +706,60 @@ pub fn run_fault_workload_rf(
 
     let clock = cluster.clock().clone();
     let start = clock.now();
-    let mut ok_ops = 0u64;
-    let mut latencies: Vec<f64> = Vec::with_capacity(ops as usize);
     for i in 0..ops {
-        let key = format!("k{:04}", (i * 17) % 128);
+        let key = workload_key(i);
         let op_start = clock.now();
-        let outcome = match i % 4 {
-            0 | 2 => cluster
-                .put("t", Put::new(key).with("cf", "v", format!("v{i}").into_bytes()))
-                .map(|_| ()),
-            1 => cluster.get("t", Get::new(key)).map(|_| ()),
+        let ok = match i % 4 {
+            0 | 2 => cluster.put("t", Put::new(key).with("cf", "v", workload_value(i))).is_ok(),
+            1 => cluster.get("t", Get::new(key)).is_ok(),
             _ => cluster
                 .scan("t", Scan::range(key, format!("k{:04}", (i * 17) % 128 + 8)))
-                .map(|_| ()),
+                .is_ok(),
         };
-        if outcome.is_ok() {
-            ok_ops += 1;
-            latencies.push((clock.now() - op_start).as_millis_f64());
-        }
+        on_op(i, op_start.as_nanos(), clock.now() - op_start, ok);
     }
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let p95_sim_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies[(latencies.len() * 95 / 100).min(latencies.len() - 1)]
-    };
+    let elapsed = clock.now() - start;
+    (cluster, elapsed)
+}
+
+/// The key op `i` of [`store_workload`] touches.
+fn workload_key(i: u64) -> String {
+    format!("k{:04}", (i * 17) % 128)
+}
+
+/// The value op `i` of [`store_workload`] writes (ops 0 and 2 mod 4).
+fn workload_value(i: u64) -> Vec<u8> {
+    format!("v{i}").into_bytes()
+}
+
+/// Runs the deterministic store-level workload — a table of 128 rows
+/// preloaded through `bulk_load` (charged but never faulted, so every run
+/// starts from identical state), then `ops` ops of a fixed put / get / put /
+/// short-scan mix — under the given fault plan and retry policy at
+/// replication factor `rf` (1 = the unreplicated legacy configuration).
+pub fn run_fault_workload_rf(
+    plan: Option<nosql_store::FaultPlan>,
+    retry: Option<nosql_store::RetryPolicy>,
+    ops: u64,
+    rf: usize,
+) -> FaultWorkloadOutcome {
+    let config = ClusterConfig { fault_plan: plan, retry, replication_factor: rf, ..ClusterConfig::default() };
+    let mut ok_ops = 0u64;
+    let mut latencies: Vec<f64> = Vec::with_capacity(ops as usize);
+    let (cluster, sim_elapsed) = store_workload(config, ops, |_, _, latency, ok| {
+        if ok {
+            ok_ops += 1;
+            latencies.push(latency.as_millis_f64());
+        }
+    });
     FaultWorkloadOutcome {
         ops,
         ok_ops,
-        sim_elapsed: clock.now() - start,
-        p95_sim_ms,
+        sim_elapsed,
+        p95_sim_ms: percentile(&mut latencies, 95),
         stats: cluster.fault_stats(),
         replication: cluster.replication_stats(),
     }
-}
-
-/// One cell of the fault sweep: one fault rate through one retry policy.
-#[derive(Debug, Clone)]
-pub struct FigFaultsRow {
-    /// "none" (fail on the first fault) or "backoff" (the default capped
-    /// exponential backoff + jitter policy).
-    pub retry: &'static str,
-    /// Probability that a charged op draws a failing fault.
-    pub fault_rate: f64,
-    /// Ops attempted.
-    pub ops: u64,
-    /// Ops that succeeded.
-    pub ok_ops: u64,
-    /// Successful ops per simulated second.
-    pub goodput_ops_per_sim_sec: f64,
-    /// 95th-percentile simulated latency of successful ops (ms).
-    pub p95_sim_ms: f64,
-    /// Injected failing faults (timeouts + transients + unavailable).
-    pub injected_op_faults: u64,
-    /// Slow-region latency spikes (op succeeded, paid extra).
-    pub slowdowns: u64,
-    /// Retry attempts the policy made.
-    pub retries: u64,
-    /// Ops the retry policy gave up on.
-    pub giveups: u64,
-    /// This cell's goodput relative to the same policy's no-fault cell.
-    pub goodput_vs_no_fault: f64,
-}
-
-/// The Synergy crash-recovery demonstration: a mid-transaction crash
-/// (interrupted after step 5, the worst case — views updated but still
-/// marked dirty) followed by `SynergySystem::recover`.
-#[derive(Debug, Clone)]
-pub struct FigFaultsRecovery {
-    /// The 6-step update transaction was interrupted after this step.
-    pub interrupted_step: u8,
-    /// Reads served through the baseline plan while views were dirty.
-    pub dirty_fallbacks: u64,
-    /// Simulated milliseconds the full recovery took (WAL replay + lock
-    /// reclamation fencing + dirty-view repair).
-    pub recovery_sim_ms: f64,
-    /// Synced WAL records replayed over the checkpoint baseline.
-    pub replayed_entries: u64,
-    /// Orphaned transaction locks reclaimed after their lease expired.
-    pub locks_reclaimed: u64,
-    /// Dirty view rows recomputed from surviving base rows.
-    pub view_rows_rolled_forward: u64,
-    /// Acked-and-synced writes missing after recovery — must be 0.
-    pub lost_acked_synced_writes: u64,
-    /// View rows still carrying a dirty marker after recovery — must be 0.
-    pub dirty_view_rows_after_recovery: u64,
-}
-
-/// The full fault figure.
-#[derive(Debug, Clone)]
-pub struct FigFaultsOutput {
-    /// Fault rate × retry policy sweep cells.
-    pub rows: Vec<FigFaultsRow>,
-    /// The mid-transaction crash-recovery demonstration.
-    pub recovery: FigFaultsRecovery,
 }
 
 /// Runs the fault figure: the store-level goodput sweep across
@@ -662,10 +767,10 @@ pub struct FigFaultsOutput {
 /// mid-transaction crash-recovery demonstration at `customers` scale.
 /// Everything is seeded and single-threaded, so the whole figure is
 /// deterministic — the same seed reproduces it byte-identically.
-pub fn fig_faults(customers: u64, ops: u64) -> FigFaultsOutput {
+pub fn fig_faults(customers: u64, ops: u64) -> Output {
     use nosql_store::{FaultPlan, RetryPolicy};
 
-    let mut rows = Vec::new();
+    let mut rows = Table::new(&FIG_FAULTS_ROWS);
     for (retry_name, retry) in [
         ("none", Some(RetryPolicy::no_retries())),
         ("backoff", Some(RetryPolicy::default())),
@@ -678,30 +783,29 @@ pub fn fig_faults(customers: u64, ops: u64) -> FigFaultsOutput {
                     .with_transients(rate / 2.0)
                     .with_slow_regions(rate, SimDuration::from_millis(10))
             });
-            let outcome = run_fault_workload(plan, retry.clone(), ops);
+            let outcome = run_fault_workload_rf(plan, retry.clone(), ops, 1);
             let goodput = outcome.goodput_per_sim_sec();
             if rate == 0.0 {
                 no_fault_goodput = goodput;
             }
-            rows.push(FigFaultsRow {
-                retry: retry_name,
-                fault_rate: rate,
-                ops: outcome.ops,
-                ok_ops: outcome.ok_ops,
-                goodput_ops_per_sim_sec: goodput,
-                p95_sim_ms: outcome.p95_sim_ms,
-                injected_op_faults: outcome.stats.injected_op_faults(),
-                slowdowns: outcome.stats.slowdowns,
-                retries: outcome.stats.retries,
-                giveups: outcome.stats.giveups,
-                goodput_vs_no_fault: goodput / no_fault_goodput.max(f64::EPSILON),
-            });
+            rows.push(row![
+                retry_name,
+                rate,
+                outcome.ops,
+                outcome.ok_ops,
+                goodput,
+                outcome.p95_sim_ms,
+                outcome.stats.injected_op_faults(),
+                outcome.stats.slowdowns,
+                outcome.stats.retries,
+                outcome.stats.giveups,
+                goodput / no_fault_goodput.max(f64::EPSILON),
+            ]);
         }
     }
-    FigFaultsOutput {
-        rows,
-        recovery: fig_faults_recovery(customers),
-    }
+    let mut out = Output::from(rows);
+    out.fields(&FIG_FAULTS_RECOVERY, fig_faults_recovery(customers));
+    out
 }
 
 /// The crash-recovery demonstration half of the figure: interrupt the
@@ -709,7 +813,7 @@ pub fn fig_faults(customers: u64, ops: u64) -> FigFaultsOutput {
 /// markers still set, lock still held by the dead client), serve a read
 /// through graceful degradation, crash the cluster, recover, and verify
 /// that no acked-synced write was lost and no view stayed dirty.
-fn fig_faults_recovery(customers: u64) -> FigFaultsRecovery {
+fn fig_faults_recovery(customers: u64) -> Vec<Value> {
     use relational::Value;
     use sql::parse_statement;
 
@@ -787,16 +891,16 @@ fn fig_faults_recovery(customers: u64) -> FigFaultsRecovery {
         dirty_left += 1;
     }
 
-    FigFaultsRecovery {
-        interrupted_step: 5,
+    row![
+        5u64,
         dirty_fallbacks,
-        recovery_sim_ms: recovery_sim.as_millis_f64(),
-        replayed_entries: report.cluster.replayed_entries,
-        locks_reclaimed: report.locks_reclaimed as u64,
-        view_rows_rolled_forward: report.view_rows_rolled_forward as u64,
-        lost_acked_synced_writes: lost,
-        dirty_view_rows_after_recovery: dirty_left,
-    }
+        recovery_sim.as_millis_f64(),
+        report.cluster.replayed_entries,
+        report.locks_reclaimed,
+        report.view_rows_rolled_forward,
+        lost,
+        dirty_left,
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -825,6 +929,42 @@ pub const FIG_AVAILABILITY_MTTR_MS: u64 = 50;
 /// not drawn, but the plan carries a seed like every other).
 pub const FIG_AVAILABILITY_SEED: u64 = 0xA7A1_1AB1;
 
+const FIG_AVAILABILITY_SETUP: Schema = Schema::fields(
+    "fig_availability: replication factor × availability through crash windows",
+    &[
+        exact("crashes", "scheduled crashes", Fmt::Plain),
+        exact("mttr_ms", "MTTR (sim ms)", Fmt::Dec(0)),
+        exact("servers", "region servers", Fmt::Plain),
+    ],
+    "(wal_sync_interval 1: every acked write is synced)",
+);
+
+const FIG_AVAILABILITY_ROWS: Schema = Schema::rows(
+    "rows",
+    "",
+    &[
+        exact("replication_factor", "rf", Fmt::Plain),
+        exact("ops", "ops", Fmt::Plain),
+        sim("ok_ops", "ok", Fmt::Plain),
+        sim("window_ops", "window", Fmt::Plain),
+        sim("window_ok_ops", "window ok", Fmt::Plain),
+        sim("steady_goodput_ops_per_sim_sec", "steady gp/s", Fmt::Dec(1)),
+        sim("window_goodput_ops_per_sim_sec", "window gp/s", Fmt::Dec(1)),
+        sim("window_over_steady", "win/steady", Fmt::Times(3)),
+        sim("steady_p95_sim_ms", "steady p95", Fmt::Dec(2)),
+        sim("window_p95_sim_ms", "window p95", Fmt::Dec(2)),
+        sim("acked_writes_lost", "lost", Fmt::Plain),
+        sim("failovers", "failover", Fmt::Plain),
+        sim("catchup_replays", "", Fmt::Plain),
+        sim("records_shipped", "shipped", Fmt::Plain),
+        sim("unavailable_rejections", "", Fmt::Plain),
+        sim("giveups", "", Fmt::Plain),
+        sim("sim_elapsed_ms", "", Fmt::Plain),
+    ],
+    "(gates: RF>=2 rides through windows at >=0.7x steady goodput with zero acked-write loss; \
+     RF=1 figures are covered by the sim-identity gate)",
+);
+
 /// The scheduled crash plan: one crash every 400 sim ms, victims rotating
 /// round-robin over the servers, each down for the MTTR.
 fn fig_availability_plan() -> (nosql_store::FaultPlan, Vec<SimDuration>) {
@@ -838,93 +978,21 @@ fn fig_availability_plan() -> (nosql_store::FaultPlan, Vec<SimDuration>) {
     (plan, times)
 }
 
-/// One replication factor's availability measurements.
-#[derive(Debug, Clone)]
-pub struct FigAvailabilityRow {
-    /// The configured replication factor.
-    pub replication_factor: usize,
-    /// Ops attempted.
-    pub ops: u64,
-    /// Ops that succeeded (after retries).
-    pub ok_ops: u64,
-    /// Ops that *started* inside a crash window (`[crash, crash + MTTR)`).
-    pub window_ops: u64,
-    /// In-window ops that succeeded.
-    pub window_ok_ops: u64,
-    /// Successful ops per simulated second, over ops started outside every
-    /// crash window.
-    pub steady_goodput_ops_per_sim_sec: f64,
-    /// Successful ops per simulated second, over ops started inside a
-    /// crash window.
-    pub window_goodput_ops_per_sim_sec: f64,
-    /// `window / steady` goodput — the availability headline.  ≈ 1 means
-    /// crashes are invisible to clients; ≪ 1 means they stall on the MTTR.
-    pub window_over_steady: f64,
-    /// p95 simulated latency (ms) of successful steady-state ops.
-    pub steady_p95_sim_ms: f64,
-    /// p95 simulated latency (ms) of successful in-window ops.
-    pub window_p95_sim_ms: f64,
-    /// Acked writes whose value was missing or stale after the run settled
-    /// — the durability gate (must be 0: with `wal_sync_interval = 1`
-    /// every acked write is synced, and synced writes survive failovers).
-    pub acked_writes_lost: u64,
-    /// Region failovers performed.
-    pub failovers: u64,
-    /// Catch-up replays performed by rejoining victims.
-    pub catchup_replays: u64,
-    /// Synced WAL records shipped to followers.
-    pub records_shipped: u64,
-    /// Ops rejected because a region was unavailable (before retries won).
-    pub unavailable_rejections: u64,
-    /// Ops that exhausted their retries.
-    pub giveups: u64,
-    /// Simulated time the measured loop consumed (ms).
-    pub sim_elapsed_ms: f64,
-}
-
-/// Output of [`fig_availability`].
-#[derive(Debug, Clone)]
-pub struct FigAvailabilityOutput {
-    /// One row per replication factor.
-    pub rows: Vec<FigAvailabilityRow>,
-    /// Number of scheduled crashes each run rode through.
-    pub crashes: usize,
-    /// The crash MTTR (sim ms).
-    pub mttr_ms: f64,
-    /// Region servers of the deployment.
-    pub servers: usize,
-}
-
 /// Runs the fixed availability workload — the fig_faults op mix with
 /// `wal_sync_interval = 1` (every acked write synced) over 5 region
 /// servers — through the scheduled crash plan at one replication factor,
 /// bucketing every op by whether it started inside a crash window.
-pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
-    use nosql_store::ops::{Get, Put, Scan};
-    use nosql_store::{RetryPolicy, TableSchema};
-
+fn availability_row(rf: usize, ops: u64) -> Vec<Value> {
     let (plan, crash_times) = fig_availability_plan();
     let mttr = SimDuration::from_millis(FIG_AVAILABILITY_MTTR_MS);
-    let cluster = Cluster::new(ClusterConfig {
+    let config = ClusterConfig {
         region_servers: FIG_AVAILABILITY_SERVERS,
         wal_sync_interval: 1,
         replication_factor: rf,
         fault_plan: Some(plan),
-        retry: Some(RetryPolicy::default()),
+        retry: Some(nosql_store::RetryPolicy::default()),
         ..ClusterConfig::default()
-    });
-    cluster
-        .create_table(TableSchema::new("t").with_family("cf"))
-        .expect("workload table");
-    cluster
-        .bulk_load(
-            "t",
-            (0..128u64).map(|i| Put::new(format!("k{i:04}")).with("cf", "v", vec![b'x'; 64])),
-        )
-        .expect("preload");
-    cluster.checkpoint();
-
-    let clock = cluster.clock().clone();
+    };
     // Crash times are absolute simulated instants (durations since the
     // epoch); an op is "in window" if it starts inside any [t, t + MTTR).
     let in_window = |at_nanos: u64| {
@@ -933,7 +1001,6 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
             .any(|&t| at_nanos >= t.as_nanos() && at_nanos < (t + mttr).as_nanos())
     };
 
-    let start = clock.now();
     let mut ok_ops = 0u64;
     let mut window_ops = 0u64;
     let mut window_ok = 0u64;
@@ -944,29 +1011,14 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
     let mut steady_time = SimDuration::ZERO;
     let mut window_time = SimDuration::ZERO;
     let mut last_acked: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for i in 0..ops {
-        let key = format!("k{:04}", (i * 17) % 128);
-        let op_start = clock.now();
-        let started_in_window = in_window(op_start.as_nanos());
-        let value = format!("v{i}").into_bytes();
-        let outcome = match i % 4 {
-            0 | 2 => cluster
-                .put("t", Put::new(key.clone()).with("cf", "v", value.clone()))
-                .map(|_| ()),
-            1 => cluster.get("t", Get::new(key.clone())).map(|_| ()),
-            _ => cluster
-                .scan("t", Scan::range(key.clone(), format!("k{:04}", (i * 17) % 128 + 8)))
-                .map(|_| ()),
-        };
-        let elapsed = clock.now() - op_start;
-        let ok = outcome.is_ok();
+    let (cluster, sim_elapsed) = store_workload(config, ops, |i, at, elapsed, ok| {
         if ok {
             ok_ops += 1;
             if matches!(i % 4, 0 | 2) {
-                last_acked.insert(key, value);
+                last_acked.insert(workload_key(i), workload_value(i));
             }
         }
-        if started_in_window {
+        if in_window(at) {
             window_ops += 1;
             window_time += elapsed;
             if ok {
@@ -979,8 +1031,8 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
                 steady_lat.push(elapsed.as_millis_f64());
             }
         }
-    }
-    let sim_elapsed = clock.now() - start;
+    });
+    let clock = cluster.clock().clone();
 
     // Settle: wait out the last crash window so every victim has rejoined,
     // then audit that every acked write is still readable.  (The audit's
@@ -998,7 +1050,7 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
     let mut lost = 0u64;
     for (key, value) in &last_acked {
         let survived = cluster
-            .get("t", Get::new(key.clone()))
+            .get("t", nosql_store::ops::Get::new(key.clone()))
             .ok()
             .flatten()
             .and_then(|row| row.value("cf", "v").map(|v| v == &value[..]))
@@ -1008,14 +1060,6 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
         }
     }
 
-    let p95 = |lat: &mut Vec<f64>| -> f64 {
-        lat.sort_by(|a, b| a.total_cmp(b));
-        if lat.is_empty() {
-            0.0
-        } else {
-            lat[(lat.len() * 95 / 100).min(lat.len() - 1)]
-        }
-    };
     let goodput = |ok: u64, time: SimDuration| -> f64 {
         ok as f64 / time.as_millis_f64().max(f64::EPSILON) * 1_000.0
     };
@@ -1023,41 +1067,43 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> FigAvailabilityRow {
     let window_goodput = goodput(window_ok, window_time);
     let stats = cluster.fault_stats();
     let replication = cluster.replication_stats();
-    FigAvailabilityRow {
-        replication_factor: rf,
+    row![
+        rf,
         ops,
         ok_ops,
         window_ops,
-        window_ok_ops: window_ok,
-        steady_goodput_ops_per_sim_sec: steady_goodput,
-        window_goodput_ops_per_sim_sec: window_goodput,
-        window_over_steady: window_goodput / steady_goodput.max(f64::EPSILON),
-        steady_p95_sim_ms: p95(&mut steady_lat),
-        window_p95_sim_ms: p95(&mut window_lat),
-        acked_writes_lost: lost,
-        failovers: replication.failovers,
-        catchup_replays: replication.catchup_replays,
-        records_shipped: replication.records_shipped,
-        unavailable_rejections: stats.unavailable_rejections,
-        giveups: stats.giveups,
-        sim_elapsed_ms: sim_elapsed.as_millis_f64(),
-    }
+        window_ok,
+        steady_goodput,
+        window_goodput,
+        window_goodput / steady_goodput.max(f64::EPSILON),
+        percentile(&mut steady_lat, 95),
+        percentile(&mut window_lat, 95),
+        lost,
+        replication.failovers,
+        replication.catchup_replays,
+        replication.records_shipped,
+        stats.unavailable_rejections,
+        stats.giveups,
+        sim_elapsed.as_millis_f64(),
+    ]
 }
 
 /// The availability figure: the same crash schedule at RF ∈ {1, 2, 3}.
 /// Without replication a crash makes the victim's regions unavailable for
 /// the whole MTTR; with RF ≥ 2 each crash fails over and clients ride
 /// through the window at steady-state goodput, losing nothing.
-pub fn fig_availability(ops: u64) -> FigAvailabilityOutput {
-    FigAvailabilityOutput {
-        rows: FIG_AVAILABILITY_RFS
-            .iter()
-            .map(|&rf| run_availability_workload(rf, ops))
-            .collect(),
-        crashes: FIG_AVAILABILITY_CRASHES,
-        mttr_ms: FIG_AVAILABILITY_MTTR_MS as f64,
-        servers: FIG_AVAILABILITY_SERVERS,
+pub fn fig_availability(ops: u64) -> Output {
+    let mut rows = Table::new(&FIG_AVAILABILITY_ROWS);
+    for rf in FIG_AVAILABILITY_RFS {
+        rows.push(availability_row(rf, ops));
     }
+    let mut out = Output::default();
+    out.fields(
+        &FIG_AVAILABILITY_SETUP,
+        row![FIG_AVAILABILITY_CRASHES, FIG_AVAILABILITY_MTTR_MS as f64, FIG_AVAILABILITY_SERVERS],
+    );
+    out.parts.push(rows);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -1076,106 +1122,74 @@ pub const FIG_PARTIAL_SKEWS: [f64; 3] = [0.8, 1.1, 1.4];
 /// materialization footprint.
 pub const FIG_PARTIAL_BUDGET_FRACS: [f64; 3] = [0.05, 0.10, 0.25];
 
-/// One fully-materialized baseline of the partial figure (one per skew —
-/// the footprint is skew-independent but the measured latencies draw the
-/// same key stream as that skew's partial cells).
-#[derive(Debug, Clone)]
-pub struct FigPartialBaseline {
-    /// Zipf exponent of the key stream.
-    pub zipf_s: f64,
-    /// View rows `materialize_views` pre-filled.
-    pub materialized_rows: u64,
-    /// Estimated bytes of the pre-filled views (the budget denominator).
-    pub materialized_bytes: u64,
-    /// Stored `V_*` rows after the run (cluster metrics).
-    pub view_store_rows: u64,
-    /// Stored `V_*` bytes after the run.
-    pub view_store_bytes: u64,
-    /// Median simulated Q1K (keyed Customer⋈Orders read) latency (ms).
-    pub q1k_p50_sim_ms: f64,
-    /// 95th-percentile simulated Q1K latency (ms).
-    pub q1k_p95_sim_ms: f64,
-    /// 95th-percentile simulated Q1K latency over hot keys only (ms).
-    pub q1k_hot_p95_sim_ms: f64,
-    /// Median simulated Q2K (keyed 3-way join read) latency (ms).
-    pub q2k_p50_sim_ms: f64,
-    /// 95th-percentile simulated Q2K latency (ms).
-    pub q2k_p95_sim_ms: f64,
-}
+const FIG_PARTIAL_SETUP: Schema = Schema::fields(
+    "fig_partial: partial view materialization under zipfian skew",
+    &[
+        exact("customers", "", Fmt::Plain),
+        exact("order_keys", "key universe (orders)", Fmt::Plain),
+        exact("warmup_ops", "warm-up ops per cell", Fmt::Plain),
+        exact("measured_ops", "measured ops per cell", Fmt::Plain),
+        exact("hot_rank", "hot keys up to rank", Fmt::Plain),
+    ],
+    "(mix: 90% Q1K / 2% Q2K / 8% writes)",
+);
 
-/// One budget × skew cell of the partial figure.
-#[derive(Debug, Clone)]
-pub struct FigPartialRow {
-    /// Zipf exponent of the key stream.
-    pub zipf_s: f64,
-    /// "5%", "10%", "25%" or "unbounded".
-    pub budget_label: String,
-    /// The absolute byte budget handed to `with_view_budget`.
-    pub budget_bytes: u64,
-    /// Reads (measured window) that found every view key resident.
-    pub hits: u64,
-    /// Reads that missed at least one view key.
-    pub misses: u64,
-    /// hits / (hits + misses) over the measured window.
-    pub hit_rate: f64,
-    /// Upqueries issued in the measured window.
-    pub upqueries: u64,
-    /// Keys evicted by the CLOCK sweep in the measured window.
-    pub evicted_keys: u64,
-    /// Maintenance deltas annihilated (non-resident key) in the window.
-    pub annihilated: u64,
-    /// Deltas queued mid-fill and replayed after install, in the window.
-    pub deferred: u64,
-    /// View-routed reads that bypassed the partial path, in the window.
-    pub bypasses: u64,
-    /// Resident view keys at the end of the run.
-    pub resident_keys: u64,
-    /// Resident view rows at the end of the run.
-    pub resident_rows: u64,
-    /// Resident view bytes at the end of the run (residency estimate).
-    pub resident_bytes: u64,
-    /// Stored `V_*` rows after the run (cluster metrics).
-    pub view_store_rows: u64,
-    /// Stored `V_*` bytes after the run.
-    pub view_store_bytes: u64,
-    /// Full-materialization stored rows / this cell's (≥ 1 = reduction).
-    pub rows_x_vs_full: f64,
-    /// Full-materialization stored bytes / this cell's.
-    pub bytes_x_vs_full: f64,
-    /// Median simulated Q1K latency (ms), misses included.
-    pub q1k_p50_sim_ms: f64,
-    /// 95th-percentile simulated Q1K latency (ms), misses included.
-    pub q1k_p95_sim_ms: f64,
-    /// 95th-percentile simulated Q1K latency over hot keys only (ms).
-    pub q1k_hot_p95_sim_ms: f64,
-    /// Median simulated Q2K latency (ms).
-    pub q2k_p50_sim_ms: f64,
-    /// 95th-percentile simulated Q2K latency (ms).
-    pub q2k_p95_sim_ms: f64,
-    /// Hot-key Q1K p95, this cell / the same-skew full baseline.
-    pub q1k_hot_p95_x_vs_full: f64,
-    /// Per-view `(table, resident rows, resident bytes)` from the store.
-    pub view_tables: Vec<(String, u64, u64)>,
-}
+/// One fully-materialized baseline per skew (the footprint is
+/// skew-independent, but the latencies draw that skew's key stream).
+const FIG_PARTIAL_BASELINES: Schema = Schema::rows(
+    "baselines",
+    "",
+    &[
+        exact("zipf_s", "zipf s", Fmt::Dec(1)),
+        sim("materialized_rows", "", Fmt::Plain),
+        sim("materialized_bytes", "", Fmt::Plain),
+        sim("view_store_rows", "full rows", Fmt::Plain),
+        sim("view_store_bytes", "full bytes", Fmt::Mib),
+        sim("q1k_p50_sim_ms", "Q1K p50", Fmt::Dec(3)),
+        sim("q1k_p95_sim_ms", "Q1K p95", Fmt::Dec(3)),
+        sim("q1k_hot_p95_sim_ms", "Q1K hot p95", Fmt::Dec(3)),
+        sim("q2k_p50_sim_ms", "", Fmt::Plain),
+        sim("q2k_p95_sim_ms", "Q2K p95", Fmt::Dec(3)),
+    ],
+    "",
+);
 
-/// The full partial-materialization figure.
-#[derive(Debug, Clone)]
-pub struct FigPartialOutput {
-    /// Number of customers (order keys = 10×).
-    pub customers: u64,
-    /// The zipf key universe (number of orders).
-    pub order_keys: u64,
-    /// Uncounted warm-up operations per cell.
-    pub warmup_ops: u64,
-    /// Measured operations per cell.
-    pub measured_ops: u64,
-    /// Ranks `1..=hot_rank` count as hot keys for the hot-p95 series.
-    pub hot_rank: u64,
-    /// Full-materialization baselines, one per skew.
-    pub baselines: Vec<FigPartialBaseline>,
-    /// Budget × skew cells (plus one unbounded-budget cell).
-    pub rows: Vec<FigPartialRow>,
-}
+const FIG_PARTIAL_ROWS: Schema = Schema::rows(
+    "rows",
+    "",
+    &[
+        exact("zipf_s", "zipf s", Fmt::Dec(1)),
+        exact("budget_label", "budget", Fmt::Plain),
+        exact("budget_bytes", "", Fmt::Plain),
+        sim("hits", "", Fmt::Plain),
+        sim("misses", "", Fmt::Plain),
+        sim("hit_rate", "hit rate", Fmt::Pct(1)),
+        sim("upqueries", "upq", Fmt::Plain),
+        sim("evicted_keys", "evict", Fmt::Plain),
+        sim("annihilated", "annihil", Fmt::Plain),
+        sim("deferred", "", Fmt::Plain),
+        sim("bypasses", "", Fmt::Plain),
+        sim("resident_keys", "", Fmt::Plain),
+        sim("resident_rows", "", Fmt::Plain),
+        sim("resident_bytes", "", Fmt::Plain),
+        sim("view_store_rows", "rows", Fmt::Plain),
+        sim("view_store_bytes", "", Fmt::Plain),
+        sim("rows_x_vs_full", "rows x", Fmt::Times(1)),
+        sim("bytes_x_vs_full", "bytes x", Fmt::Times(1)),
+        sim("q1k_p50_sim_ms", "", Fmt::Plain),
+        sim("q1k_p95_sim_ms", "Q1K p95", Fmt::Dec(3)),
+        sim("q1k_hot_p95_sim_ms", "hot p95", Fmt::Dec(3)),
+        sim("q2k_p50_sim_ms", "", Fmt::Plain),
+        sim("q2k_p95_sim_ms", "", Fmt::Plain),
+        sim("q1k_hot_p95_x_vs_full", "hot p95 x", Fmt::Times(2)),
+        sim("view_tables", "resident view tables", Fmt::Plain).nested(&[
+            exact("table", "", Fmt::Plain),
+            sim("resident_rows", "rows", Fmt::Plain),
+            sim("resident_bytes", "", Fmt::Mib),
+        ]),
+    ],
+    "(rows x / bytes x = full-materialization footprint over this cell's resident slice)",
+);
 
 /// Simulated latencies of one measured window, split by query and by key
 /// temperature.
@@ -1184,6 +1198,19 @@ struct PartialLatencies {
     q1k: Vec<f64>,
     q1k_hot: Vec<f64>,
     q2k: Vec<f64>,
+}
+
+impl PartialLatencies {
+    /// Q1K p50/p95, hot-key Q1K p95, Q2K p50/p95.
+    fn percentiles(&mut self) -> [f64; 5] {
+        [
+            percentile(&mut self.q1k, 50),
+            percentile(&mut self.q1k, 95),
+            percentile(&mut self.q1k_hot, 95),
+            percentile(&mut self.q2k, 50),
+            percentile(&mut self.q2k, 95),
+        ]
+    }
 }
 
 /// Sorts in place and returns the `pct`-th percentile (0.0 when empty).
@@ -1264,46 +1291,53 @@ fn view_store_footprint(bench: &MicroBench) -> (u64, u64, Vec<(String, u64, u64)
 /// steady state, then measured for hit rate, footprint and latency against
 /// the same-skew fully-materialized baseline.  Single-threaded and seeded,
 /// so every sim number is deterministic.
-pub fn fig_partial(customers: u64) -> FigPartialOutput {
+pub fn fig_partial(customers: u64) -> Output {
     fig_partial_with(customers, &FIG_PARTIAL_SKEWS, &FIG_PARTIAL_BUDGET_FRACS)
 }
 
 /// [`fig_partial`] with explicit skew and budget axes (tests shrink both).
-pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> FigPartialOutput {
+pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> Output {
     let order_keys = customers * 10;
     let warmup_ops = order_keys * 4;
     let measured_ops = order_keys * 2;
     let hot_rank = (order_keys / 100).max(8);
-    let seed_of = |s: f64| FIG_PARTIAL_SEED ^ s.to_bits();
-
-    let mut baselines = Vec::new();
-    for &s in skews {
-        let bench = MicroBench::build_partial(customers, 1, None)
-            .expect("full-materialization baseline builds");
-        let mut zipf = tpcw::zipf::Zipf::new(order_keys, s, seed_of(s));
+    // A deployment (`budget` None = full materialization) warmed by the
+    // zipf-`s` mix, then measured: its latencies and the residency counters
+    // before the measured window.
+    let run = |s: f64, budget: Option<u64>| {
+        let bench = MicroBench::build_partial(customers, 1, budget).expect("partial deployment builds");
+        let mut zipf = tpcw::zipf::Zipf::new(order_keys, s, FIG_PARTIAL_SEED ^ s.to_bits());
         run_partial_mix(&bench, &mut zipf, hot_rank, warmup_ops, None);
+        let before = bench.system().residency_snapshot();
         let mut latencies = PartialLatencies::default();
         run_partial_mix(&bench, &mut zipf, hot_rank, measured_ops, Some(&mut latencies));
+        (bench, latencies, before)
+    };
+
+    let mut baselines = Table::new(&FIG_PARTIAL_BASELINES);
+    for &s in skews {
+        let (bench, mut latencies, _) = run(s, None);
         let (view_store_rows, view_store_bytes, _) = view_store_footprint(&bench);
-        baselines.push(FigPartialBaseline {
-            zipf_s: s,
-            materialized_rows: bench.materialized().rows as u64,
-            materialized_bytes: bench.materialized().bytes,
+        let [q1k_p50, q1k_p95, q1k_hot_p95, q2k_p50, q2k_p95] = latencies.percentiles();
+        baselines.push(row![
+            s,
+            bench.materialized().rows,
+            bench.materialized().bytes,
             view_store_rows,
             view_store_bytes,
-            q1k_p50_sim_ms: percentile(&mut latencies.q1k, 50),
-            q1k_p95_sim_ms: percentile(&mut latencies.q1k, 95),
-            q1k_hot_p95_sim_ms: percentile(&mut latencies.q1k_hot, 95),
-            q2k_p50_sim_ms: percentile(&mut latencies.q2k, 50),
-            q2k_p95_sim_ms: percentile(&mut latencies.q2k, 95),
-        });
+            q1k_p50,
+            q1k_p95,
+            q1k_hot_p95,
+            q2k_p50,
+            q2k_p95,
+        ]);
     }
-    let full_bytes = baselines[0].materialized_bytes;
+    let full_bytes = baselines.row(0).num("materialized_bytes");
 
     let mut cells: Vec<(f64, u64, String)> = Vec::new();
     for &s in skews {
         for &frac in fracs {
-            let budget = (full_bytes as f64 * frac) as u64;
+            let budget = (full_bytes * frac) as u64;
             cells.push((s, budget, format!("{:.0}%", frac * 100.0)));
         }
     }
@@ -1312,129 +1346,117 @@ pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> FigPart
     let unbounded_s = if skews.contains(&1.1) { 1.1 } else { skews[0] };
     cells.push((unbounded_s, u64::MAX, "unbounded".to_string()));
 
-    let mut rows = Vec::new();
+    let mut rows = Table::new(&FIG_PARTIAL_ROWS);
     for (s, budget_bytes, budget_label) in cells {
         let baseline = baselines
-            .iter()
-            .find(|b| b.zipf_s == s)
+            .rows()
+            .find(|b| b.num("zipf_s") == s)
             .expect("every cell skew has a baseline");
-        let bench = MicroBench::build_partial(customers, 1, Some(budget_bytes))
-            .expect("partial deployment builds");
-        let mut zipf = tpcw::zipf::Zipf::new(order_keys, s, seed_of(s));
-        run_partial_mix(&bench, &mut zipf, hot_rank, warmup_ops, None);
-        let before = bench
-            .system()
-            .residency_snapshot()
-            .expect("partial deployment has a residency map");
-        let mut latencies = PartialLatencies::default();
-        run_partial_mix(&bench, &mut zipf, hot_rank, measured_ops, Some(&mut latencies));
+        let (bench, mut latencies, before) = run(s, Some(budget_bytes));
+        let before = before.expect("partial deployment has a residency map");
         let after = bench.system().residency_snapshot().expect("residency map");
 
         let hits = after.hits - before.hits;
         let misses = after.misses - before.misses;
         let (view_store_rows, view_store_bytes, view_tables) = view_store_footprint(&bench);
-        let q1k_hot_p95_sim_ms = percentile(&mut latencies.q1k_hot, 95);
-        rows.push(FigPartialRow {
-            zipf_s: s,
+        let [q1k_p50, q1k_p95, q1k_hot_p95, q2k_p50, q2k_p95] = latencies.percentiles();
+        rows.push(row![
+            s,
             budget_label,
             budget_bytes,
             hits,
             misses,
-            hit_rate: hits as f64 / ((hits + misses) as f64).max(1.0),
-            upqueries: after.upqueries - before.upqueries,
-            evicted_keys: after.evicted_keys - before.evicted_keys,
-            annihilated: after.annihilated - before.annihilated,
-            deferred: after.deferred - before.deferred,
-            bypasses: after.bypasses - before.bypasses,
-            resident_keys: after.resident_keys,
-            resident_rows: after.resident_rows,
-            resident_bytes: after.resident_bytes,
+            hits as f64 / ((hits + misses) as f64).max(1.0),
+            after.upqueries - before.upqueries,
+            after.evicted_keys - before.evicted_keys,
+            after.annihilated - before.annihilated,
+            after.deferred - before.deferred,
+            after.bypasses - before.bypasses,
+            after.resident_keys,
+            after.resident_rows,
+            after.resident_bytes,
             view_store_rows,
             view_store_bytes,
-            rows_x_vs_full: baseline.view_store_rows as f64
-                / (view_store_rows as f64).max(1.0),
-            bytes_x_vs_full: baseline.view_store_bytes as f64
-                / (view_store_bytes as f64).max(1.0),
-            q1k_p50_sim_ms: percentile(&mut latencies.q1k, 50),
-            q1k_p95_sim_ms: percentile(&mut latencies.q1k, 95),
-            q1k_hot_p95_sim_ms,
-            q2k_p50_sim_ms: percentile(&mut latencies.q2k, 50),
-            q2k_p95_sim_ms: percentile(&mut latencies.q2k, 95),
-            q1k_hot_p95_x_vs_full: q1k_hot_p95_sim_ms
-                / baseline.q1k_hot_p95_sim_ms.max(f64::EPSILON),
-            view_tables,
-        });
+            baseline.num("view_store_rows") / (view_store_rows as f64).max(1.0),
+            baseline.num("view_store_bytes") / (view_store_bytes as f64).max(1.0),
+            q1k_p50,
+            q1k_p95,
+            q1k_hot_p95,
+            q2k_p50,
+            q2k_p95,
+            q1k_hot_p95 / baseline.num("q1k_hot_p95_sim_ms").max(f64::EPSILON),
+            Value::Rows(view_tables.into_iter().map(|(t, r, b)| row![t, r, b]).collect()),
+        ]);
     }
 
-    FigPartialOutput {
-        customers,
-        order_keys,
-        warmup_ops,
-        measured_ops,
-        hot_rank,
-        baselines,
-        rows,
-    }
+    let mut out = Output::default();
+    out.fields(
+        &FIG_PARTIAL_SETUP,
+        row![customers, order_keys, warmup_ops, measured_ops, hot_rank],
+    );
+    out.parts.push(baselines);
+    out.parts.push(rows);
+    out
 }
 
 // ---------------------------------------------------------------------
 // Figure 11: two-phase row-locking overhead
 // ---------------------------------------------------------------------
 
-/// One row of Figure 11.
-#[derive(Debug, Clone)]
-pub struct Fig11Row {
-    /// Number of locks acquired and released.
-    pub locks: u64,
-    /// Mean simulated overhead (ms).
-    pub overhead_ms: Summary,
-    /// Mean wall-clock overhead (ms).
-    pub overhead_wall_ms: Summary,
-}
+const FIG11_ROWS: Schema = Schema::rows(
+    "rows",
+    "Figure 11: two-phase row locking overhead",
+    &[
+        exact("locks", "locks", Fmt::Plain),
+        sim("sim_ms", "overhead (ms)", Fmt::Dec(1)),
+        wall("wall_ms", "wall (ms)", Fmt::Dec(2)),
+    ],
+    "(paper: 342 / 571 / 2182 ms for 10 / 100 / 1000 locks)",
+);
 
 /// Measures the overhead of acquiring and releasing `n` row locks through a
 /// lock table in the NoSQL store (the paper's §IX-C experiment).
-pub fn fig11_lock_overhead(lock_counts: &[u64], reps: u64) -> Vec<Fig11Row> {
-    let mut rows = Vec::new();
+pub fn fig11_lock_overhead(lock_counts: &[u64], reps: u64) -> Table {
+    let mut rows = Table::new(&FIG11_ROWS);
     for &locks in lock_counts {
         let mut samples = Vec::new();
         let mut wall_samples = Vec::new();
         for _ in 0..reps {
-            let cluster = Cluster::new(ClusterConfig::default());
-            let manager = LockManager::new(cluster.clone());
-            manager.create_lock_table("bench").expect("lock table");
-            for key in 0..locks {
-                manager.ensure_entry("bench", &key.to_string()).expect("entry");
-            }
+            let (cluster, manager) = lock_table("bench", locks);
             let clock = cluster.clock().clone();
             let start = clock.now();
             let wall_start = std::time::Instant::now();
-            let mut guards = Vec::with_capacity(locks as usize);
-            for key in 0..locks {
-                guards.push(
-                    manager
-                        .acquire("bench", &key.to_string())
-                        .expect("acquire")
-                        .expect("uncontended"),
-                );
-            }
-            for guard in guards {
-                manager.release(guard).expect("release");
-            }
+            lock_each(&manager, "bench", 0..locks);
             samples.push((clock.now() - start).as_millis_f64());
             wall_samples.push(wall_start.elapsed().as_secs_f64() * 1_000.0);
         }
-        rows.push(Fig11Row {
-            locks,
-            overhead_ms: Summary::of(&samples),
-            overhead_wall_ms: Summary::of(&wall_samples),
-        });
+        rows.push(row![locks, Summary::of(&samples), Summary::of(&wall_samples).mean]);
     }
     rows
 }
 
+/// A fresh cluster with lock table `table` holding entries `0..keys`.
+fn lock_table(table: &str, keys: u64) -> (Cluster, LockManager) {
+    let cluster = Cluster::new(ClusterConfig::default());
+    let manager = LockManager::new(cluster.clone());
+    manager.create_lock_table(table).expect("lock table");
+    for key in 0..keys {
+        manager.ensure_entry(table, &key.to_string()).expect("entry");
+    }
+    (cluster, manager)
+}
+
+/// Acquires one uncontended lock per key, then releases them all.
+fn lock_each(manager: &LockManager, table: &str, keys: std::ops::Range<u64>) {
+    let acquire = |key: u64| manager.acquire(table, &key.to_string()).expect("acquire").expect("uncontended");
+    let guards: Vec<_> = keys.map(acquire).collect();
+    for guard in guards {
+        manager.release(guard).expect("release");
+    }
+}
+
 // ---------------------------------------------------------------------
-// Figures 12 & 14 and Table II: the five-system TPC-W comparison
+// Figures 12 & 14 and Tables II & III: the five-system TPC-W comparison
 // ---------------------------------------------------------------------
 
 /// Response time of one statement on one system (or `None` if unsupported).
@@ -1456,11 +1478,11 @@ pub struct ComparisonMatrix {
 impl ComparisonMatrix {
     /// Mean response time of a statement on a system, if supported.
     pub fn mean_ms(&self, statement: &str, system: &str) -> Option<f64> {
-        self.cells
-            .get(statement)?
-            .get(system)?
-            .as_ref()
-            .map(|s| s.mean)
+        self.cell(statement, system).map(|s| s.mean)
+    }
+
+    fn cell(&self, statement: &str, system: &str) -> Option<&Summary> {
+        self.cells.get(statement)?.get(system)?.as_ref()
     }
 
     /// Ratio of the two systems' average response times over the statements
@@ -1524,38 +1546,22 @@ pub fn comparison_matrix(customers: u64, reps: u64) -> ComparisonMatrix {
             .insert(system.name().to_string(), system.database_size_bytes());
     }
 
-    // Join queries Q1..Q11.
-    for query in join_queries() {
-        let statement = query.statement();
-        matrix.statements.push(query.id.to_string());
-        let row = matrix.cells.entry(query.id.to_string()).or_default();
+    // Join queries Q1..Q11, then write statements W1..W13.
+    type ParamsFn = Box<dyn Fn(u64) -> Vec<relational::Value>>;
+    let statements = join_queries()
+        .into_iter()
+        .map(|q| (q.id, q.statement(), Box::new(move |rep| q.params(scale, rep)) as ParamsFn))
+        .chain(write_statements().into_iter().map(|w| {
+            (w.id, w.statement(), Box::new(move |rep| w.params(scale, rep)) as ParamsFn)
+        }));
+    for (id, statement, params) in statements {
+        matrix.statements.push(id.to_string());
+        let row = matrix.cells.entry(id.to_string()).or_default();
         for system in &systems {
             let mut samples = Vec::new();
             let mut unsupported = false;
             for rep in 0..reps {
-                match system.execute(&statement, &query.params(scale, rep)) {
-                    Ok(outcome) => samples.push(outcome.elapsed.as_millis_f64()),
-                    Err(_) => {
-                        unsupported = true;
-                        break;
-                    }
-                }
-            }
-            let cell = if unsupported { None } else { Some(Summary::of(&samples)) };
-            row.insert(system.name().to_string(), cell);
-        }
-    }
-
-    // Write statements W1..W13.
-    for write in write_statements() {
-        let statement = write.statement();
-        matrix.statements.push(write.id.to_string());
-        let row = matrix.cells.entry(write.id.to_string()).or_default();
-        for system in &systems {
-            let mut samples = Vec::new();
-            let mut unsupported = false;
-            for rep in 0..reps {
-                match system.execute(&statement, &write.params(scale, rep)) {
+                match system.execute(&statement, &params(rep)) {
                     Ok(outcome) => samples.push(outcome.elapsed.as_millis_f64()),
                     Err(_) => {
                         unsupported = true;
@@ -1570,109 +1576,163 @@ pub fn comparison_matrix(customers: u64, reps: u64) -> ComparisonMatrix {
     matrix
 }
 
+/// The matrix columns of Figures 12 and 14: one per evaluated system, in
+/// `SystemKind::all()` order.
+const MATRIX_COLS: &[Col] = &[
+    exact("statement", "stmt", Fmt::Plain),
+    sim("VoltDB_sim_ms", "VoltDB", Fmt::Dec(1)),
+    sim("Synergy_sim_ms", "Synergy", Fmt::Dec(1)),
+    sim("MVCC-A_sim_ms", "MVCC-A", Fmt::Dec(1)),
+    sim("MVCC-UA_sim_ms", "MVCC-UA", Fmt::Dec(1)),
+    sim("Baseline_sim_ms", "Baseline", Fmt::Dec(1)),
+];
+
+const FIG12: Schema = Schema::rows(
+    "rows",
+    "Figure 12: TPC-W join query response times",
+    MATRIX_COLS,
+    "  (X = statement not supported by that system)",
+);
+
+const FIG14: Schema = Schema::rows(
+    "rows",
+    "Figure 14: TPC-W write statement response times",
+    MATRIX_COLS,
+    "  (X = statement not supported by that system)",
+);
+
+/// Figure 12 (`prefix` 'Q', joins) or 14 ('W', writes): the matrix rows of
+/// those statements plus the paper's mean-ratio comparisons.
+fn matrix_figure(matrix: &ComparisonMatrix, schema: &'static Schema, prefix: char) -> Output {
+    let mut table = Table::new(schema);
+    for statement in matrix.statements.iter().filter(|s| s.starts_with(prefix)) {
+        let mut row = row![statement.as_str()];
+        for col in &schema.cols[1..] {
+            let system = col.name.trim_end_matches("_sim_ms");
+            row.push(matrix.cell(statement, system).cloned().into());
+        }
+        table.push(row);
+    }
+    let mut out = Output::from(table);
+    let (label, paper, paper_voltdb) = if prefix == 'Q' {
+        ("joins", "19.5x / 6.2x / 28.2x", "11x, supported queries only")
+    } else {
+        ("writes", "9x / 8.6x / 8.6x", "9.4x")
+    };
+    let of_kind = |s: &str| s.starts_with(prefix);
+    for other in ["MVCC-UA", "MVCC-A", "Baseline"] {
+        if let Some(ratio) = matrix.mean_ratio(other, "Synergy", of_kind) {
+            out.notes.push(format!(
+                "  {label}: {other} / Synergy mean ratio = {ratio:.1}x (paper: {paper})"
+            ));
+        }
+    }
+    if let Some(ratio) = matrix.mean_ratio("Synergy", "VoltDB", of_kind) {
+        out.notes.push(format!(
+            "  {label}: Synergy / VoltDB mean ratio = {ratio:.1}x (paper: {paper_voltdb})"
+        ));
+    }
+    out
+}
+
+const TABLE2: Schema = Schema::rows(
+    "rows",
+    "Table II: sum of response times of all TPC-W statements",
+    &[exact("system", "system", Fmt::Plain), sim("total_sim_ms", "total (sim seconds)", Fmt::Secs(2))],
+    "(paper: Synergy 33.7 s, MVCC-A 77.4 s, MVCC-UA 132.4 s, Baseline 173.4 s; VoltDB excluded)",
+);
+
+/// Table II: every statement's mean summed per HBase-backed system
+/// (VoltDB does not support every statement).
+pub fn table2_totals(matrix: &ComparisonMatrix) -> Table {
+    let mut rows = Table::new(&TABLE2);
+    for system in ["Synergy", "MVCC-A", "MVCC-UA", "Baseline"] {
+        rows.push(row![system, matrix.total_ms(system)]);
+    }
+    rows
+}
+
+const TABLE3: Schema = Schema::rows(
+    "rows",
+    "Table III: database sizes",
+    &[
+        exact("system", "system", Fmt::Plain),
+        sim("bytes", "size", Fmt::Mib),
+        sim("relative_to_baseline", "relative to Baseline", Fmt::Times(2)),
+    ],
+    "(paper @1M customers: VoltDB 31.8, Synergy 92, MVCC-A 91.8, MVCC-UA 45.7, Baseline 43.8 GB)",
+);
+
+/// Derives Table III (database sizes) from a comparison matrix.
+pub fn table3_sizes(matrix: &ComparisonMatrix) -> Table {
+    let baseline = *matrix.database_bytes.get("Baseline").unwrap_or(&1).max(&1) as f64;
+    let mut rows = Table::new(&TABLE3);
+    for name in ["VoltDB", "Synergy", "MVCC-A", "MVCC-UA", "Baseline"] {
+        if let Some(&bytes) = matrix.database_bytes.get(name) {
+            rows.push(row![name, bytes, bytes as f64 / baseline]);
+        }
+    }
+    rows
+}
+
 // ---------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------
 
-/// Result of the lock-granularity ablation: the same write executed under a
-/// single hierarchical lock vs. per-row locks on every touched row.
-#[derive(Debug, Clone)]
-pub struct LockAblationRow {
-    /// Number of rows the transaction touches.
-    pub rows_touched: u64,
-    /// Simulated time with one hierarchical lock (ms).
-    pub single_lock_ms: f64,
-    /// Simulated time when locking every touched row individually (ms).
-    pub per_row_locks_ms: f64,
-}
+const ABLATION: Schema = Schema::rows(
+    "rows",
+    "Ablation: single hierarchical lock vs per-row locks",
+    &[
+        exact("rows_touched", "rows touched", Fmt::Plain),
+        sim("single_lock_sim_ms", "single lock (ms)", Fmt::Dec(1)),
+        sim("per_row_locks_sim_ms", "per-row locks (ms)", Fmt::Dec(1)),
+    ],
+    "",
+);
 
 /// Quantifies the benefit of the single hierarchical lock (paper §III-2):
 /// lock acquisition/release cost as a function of how many rows a write
 /// transaction would otherwise have to lock.
-pub fn ablation_lock_granularity(rows_touched: &[u64]) -> Vec<LockAblationRow> {
-    let mut out = Vec::new();
+pub fn ablation_lock_granularity(rows_touched: &[u64]) -> Table {
+    let mut out = Table::new(&ABLATION);
     for &rows in rows_touched {
-        let cluster = Cluster::new(ClusterConfig::default());
-        let manager = LockManager::new(cluster.clone());
-        manager.create_lock_table("ablation").expect("lock table");
-        for key in 0..rows.max(1) {
-            manager.ensure_entry("ablation", &key.to_string()).expect("entry");
-        }
+        let (cluster, manager) = lock_table("ablation", rows.max(1));
         let clock = cluster.clock().clone();
-
-        // Single hierarchical lock.
+        // One hierarchical lock, then one lock per touched row.
         let start = clock.now();
-        let guard = manager.acquire("ablation", "0").expect("acquire").expect("free");
-        manager.release(guard).expect("release");
+        lock_each(&manager, "ablation", 0..1);
         let single_lock_ms = (clock.now() - start).as_millis_f64();
-
-        // One lock per touched row.
         let start = clock.now();
-        let mut guards = Vec::new();
-        for key in 0..rows {
-            guards.push(
-                manager
-                    .acquire("ablation", &key.to_string())
-                    .expect("acquire")
-                    .expect("free"),
-            );
-        }
-        for guard in guards {
-            manager.release(guard).expect("release");
-        }
+        lock_each(&manager, "ablation", 0..rows);
         let per_row_locks_ms = (clock.now() - start).as_millis_f64();
 
-        out.push(LockAblationRow {
-            rows_touched: rows,
-            single_lock_ms,
-            per_row_locks_ms,
-        });
+        out.push(row![rows, single_lock_ms, per_row_locks_ms]);
     }
     out
 }
 
 // ---------------------------------------------------------------------
-// Table III and qualitative tables
+// Qualitative tables
 // ---------------------------------------------------------------------
 
-/// One row of Table III (database sizes).
-#[derive(Debug, Clone)]
-pub struct Table3Row {
-    /// System name.
-    pub system: String,
-    /// Total stored bytes.
-    pub bytes: u64,
-    /// Size relative to the Baseline system.
-    pub relative_to_baseline: f64,
-}
+const TABLE1: Schema = Schema::rows(
+    "rows",
+    "Table I: qualitative comparison",
+    &[
+        exact("system", "System", Fmt::Plain),
+        exact("scalability", "Scalability", Fmt::Plain),
+        exact("expressiveness", "Query expressiveness", Fmt::Plain),
+        exact("transactions", "Transaction support", Fmt::Plain),
+        exact("disk", "Disk utilization", Fmt::Plain),
+    ],
+    "",
+);
 
-/// Derives Table III from a comparison matrix.
-pub fn table3_sizes(matrix: &ComparisonMatrix) -> Vec<Table3Row> {
-    let baseline = *matrix.database_bytes.get("Baseline").unwrap_or(&1).max(&1) as f64;
-    let order = ["VoltDB", "Synergy", "MVCC-A", "MVCC-UA", "Baseline"];
-    order
-        .iter()
-        .filter_map(|name| {
-            matrix.database_bytes.get(*name).map(|bytes| Table3Row {
-                system: (*name).to_string(),
-                bytes: *bytes,
-                relative_to_baseline: *bytes as f64 / baseline,
-            })
-        })
-        .collect()
-}
-
-/// The qualitative comparison of Table I, as (system, scalability,
-/// expressiveness, transaction support, disk utilization) tuples.
-pub fn table1_qualitative() -> Vec<[&'static str; 5]> {
-    vec![
-        [
-            "NoSQL (HBase)",
-            "Linear scale out",
-            "SQL",
-            "ACID, snapshot isolation (MVCC)",
-            "Higher than NewSQL",
-        ],
+/// The qualitative comparison of Table I.
+pub fn table1_qualitative() -> Table {
+    let mut rows = Table::new(&TABLE1);
+    for row in [
+        ["NoSQL (HBase)", "Linear scale out", "SQL", "ACID, snapshot isolation (MVCC)", "Higher than NewSQL"],
         [
             "NewSQL (VoltDB)",
             "Linear scale out",
@@ -1687,268 +1747,238 @@ pub fn table1_qualitative() -> Vec<[&'static str; 5]> {
             "ACID, read-committed isolation",
             "Highest",
         ],
-    ]
-}
-
-/// The mechanism matrix of Figure 13, as (system, view mechanism,
-/// concurrency mechanism) tuples.
-pub fn fig13_mechanisms() -> Vec<[String; 3]> {
-    SystemKind::all()
-        .iter()
-        .map(|kind| {
-            [
-                kind.name().to_string(),
-                kind.view_mechanism().to_string(),
-                kind.concurrency_mechanism().to_string(),
-            ]
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Formatting helpers
-// ---------------------------------------------------------------------
-
-/// Formats a simulated millisecond summary as `mean ± stderr`.
-pub fn fmt_ms(cell: &CellMs) -> String {
-    match cell {
-        Some(summary) => format!("{:10.1} ±{:6.1}", summary.mean, summary.std_error),
-        None => format!("{:>10} {:>7}", "X", ""),
+    ] {
+        rows.push(row.map(Value::from).to_vec());
     }
+    rows
 }
 
-/// Formats bytes as mebibytes with two decimals.
-pub fn fmt_mib(bytes: u64) -> String {
-    format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0))
-}
+const FIG13: Schema = Schema::rows(
+    "rows",
+    "Figure 13: mechanisms per evaluated system",
+    &[
+        exact("system", "system", Fmt::Plain),
+        exact("view_selection", "view selection", Fmt::Plain),
+        exact("concurrency", "concurrency control", Fmt::Plain),
+    ],
+    "",
+);
 
-/// Converts a simulated duration to fractional milliseconds (helper for
-/// benches).
-pub fn to_ms(duration: SimDuration) -> f64 {
-    duration.as_millis_f64()
+/// The mechanism matrix of Figure 13, one row per evaluated system.
+pub fn fig13_mechanisms() -> Table {
+    let mut rows = Table::new(&FIG13);
+    for kind in SystemKind::all() {
+        rows.push(row![kind.name(), kind.view_mechanism(), kind.concurrency_mechanism()]);
+    }
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The sim-kind values of a figure's output, as bits: what a re-run
+    /// must reproduce exactly.
+    fn sim_bits(figure: &str, out: impl Into<Output>) -> Vec<(String, Option<u64>)> {
+        let figure = figure_named(figure).expect("registered figure");
+        let values = gates::values_of_kind(figure, &out.into().to_json(), figure::Kind::Sim);
+        values.into_iter().map(|(path, v)| (path, v.map(f64::to_bits))).collect()
+    }
+
     #[test]
     fn fig_availability_replication_rides_through_crash_windows() {
         let output = fig_availability(FIG_AVAILABILITY_OPS);
-        assert_eq!(output.rows.len(), FIG_AVAILABILITY_RFS.len());
-        for row in &output.rows {
-            assert!(
-                row.window_ops > 0,
-                "rf={}: the run never entered a crash window: {row:?}",
-                row.replication_factor
-            );
-            assert_eq!(
-                row.acked_writes_lost, 0,
-                "rf={}: acked writes lost",
-                row.replication_factor
-            );
-            if row.replication_factor == 1 {
-                assert_eq!(row.failovers, 0);
-                assert_eq!(row.records_shipped, 0);
+        let rows = output.part("rows");
+        assert_eq!(rows.len(), FIG_AVAILABILITY_RFS.len());
+        for row in rows.rows() {
+            let rf = row.num("replication_factor");
+            assert!(row.num("window_ops") > 0.0, "rf={rf}: the run never entered a crash window: {row:?}");
+            assert_eq!(row.num("acked_writes_lost"), 0.0, "rf={rf}: acked writes lost");
+            if rf == 1.0 {
+                assert_eq!(row.num("failovers"), 0.0);
+                assert_eq!(row.num("records_shipped"), 0.0);
             } else {
-                assert!(row.failovers >= 1, "rf={}: {row:?}", row.replication_factor);
+                assert!(row.num("failovers") >= 1.0, "rf={rf}: {row:?}");
                 assert!(
-                    row.window_over_steady >= 0.7,
-                    "rf={}: in-window goodput collapsed: {row:?}",
-                    row.replication_factor
+                    row.num("window_over_steady") >= 0.7,
+                    "rf={rf}: in-window goodput collapsed: {row:?}"
                 );
             }
         }
         // The headline contrast: replication keeps in-window goodput near
         // steady state, while RF = 1 clients stall on the MTTR.
-        let rf1 = &output.rows[0];
-        let rf2 = &output.rows[1];
+        let (rf1, rf2) = (rows.row(0), rows.row(1));
         assert!(
-            rf1.window_over_steady < rf2.window_over_steady,
+            rf1.num("window_over_steady") < rf2.num("window_over_steady"),
             "rf1 {rf1:?} vs rf2 {rf2:?}"
         );
         // Determinism: the sweep reproduces itself exactly.
-        let again = run_availability_workload(2, FIG_AVAILABILITY_OPS);
-        assert_eq!(again.ok_ops, rf2.ok_ops);
-        assert_eq!(again.sim_elapsed_ms, rf2.sim_elapsed_ms);
-        assert_eq!(again.records_shipped, rf2.records_shipped);
+        let again = availability_row(2, FIG_AVAILABILITY_OPS);
+        assert_eq!(again, rows.rows[1]);
     }
 
     #[test]
     fn fig11_overhead_grows_with_lock_count() {
         let rows = fig11_lock_overhead(&[10, 100], 2);
         assert_eq!(rows.len(), 2);
-        assert!(rows[1].overhead_ms.mean > rows[0].overhead_ms.mean * 5.0);
+        assert!(rows.row(1).num("sim_ms") > rows.row(0).num("sim_ms") * 5.0);
     }
 
     #[test]
     fn ablation_shows_single_lock_is_cheaper() {
         let rows = ablation_lock_granularity(&[50]);
-        assert!(rows[0].per_row_locks_ms > rows[0].single_lock_ms * 10.0);
+        assert!(rows.row(0).num("per_row_locks_sim_ms") > rows.row(0).num("single_lock_sim_ms") * 10.0);
     }
 
     #[test]
     fn fig10_speedup_is_positive_and_grows_with_join_depth() {
         let rows = fig10_micro(&[30], 2, 1);
         assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.speedup > 1.0));
-        assert!(rows.iter().all(|r| r.view_peak_rows > 0 && r.join_peak_rows > 0));
+        assert!(rows.rows().all(|r| r.num("sim_speedup") > 1.0));
+        assert!(rows
+            .rows()
+            .all(|r| r.num("view_peak_rows_resident") > 0.0 && r.num("join_peak_rows_resident") > 0.0));
     }
 
     #[test]
     fn fig10_limit_scan_rows_are_scale_independent() {
         let rows = fig10_limit(&[25, 100], 8, 1, 1);
         assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.store_rows_scanned == 8));
-        assert_eq!(rows[0].store_rows_scanned, rows[1].store_rows_scanned);
+        assert!(rows.rows().all(|r| r.num("store_rows_scanned") == 8.0));
+        assert_eq!(rows.row(0).num("store_rows_scanned"), rows.row(1).num("store_rows_scanned"));
     }
 
     #[test]
     fn fig_par_sweep_is_deterministic_in_sim_and_beats_serial_joins() {
         let rows = fig_par(30, &[1, 2, 4], 2);
         assert_eq!(rows.len(), 3);
-        assert!((rows[0].view_sim_x_vs_serial - 1.0).abs() < 1e-9);
+        assert!((rows.row(0).num("view_sim_x_vs_serial") - 1.0).abs() < 1e-9);
         // The partitioned join's sim time improves with workers even when
         // the tables are single-region at this tiny scale.
-        assert!(rows[2].join_ms.mean < rows[0].join_ms.mean);
+        assert!(rows.row(2).num("join_sim_ms") < rows.row(0).num("join_sim_ms"));
         // Re-running the sweep reproduces the sim figures exactly.
-        let again = fig_par(30, &[1, 2, 4], 2);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.view_scan_ms.mean.to_bits(), b.view_scan_ms.mean.to_bits());
-            assert_eq!(a.join_ms.mean.to_bits(), b.join_ms.mean.to_bits());
-        }
+        assert_eq!(sim_bits("fig_par", rows), sim_bits("fig_par", fig_par(30, &[1, 2, 4], 2)));
     }
 
     #[test]
     fn fig_writes_delta_beats_scan_and_coalescing_bounds_bursts() {
         let out = fig_writes(40, 8, 1);
-        assert_eq!(out.rows.len(), 2);
+        let rows = out.part("rows");
+        assert_eq!(rows.len(), 2);
         // The delta path must read at least an order of magnitude fewer
         // store rows per write than scan-based maintenance.
-        assert!(out.rows_ratio >= 10.0, "rows_ratio = {}", out.rows_ratio);
-        let delta = out.rows.iter().find(|r| r.mode == "delta").unwrap();
-        let scan = out.rows.iter().find(|r| r.mode == "scan").unwrap();
-        assert!(delta.view_rows_touched_per_write > 0.0);
+        let rows_ratio = out.field("rows_ratio").num();
+        assert!(rows_ratio >= 10.0, "rows_ratio = {rows_ratio}");
+        let delta = rows.find("mode", "delta").unwrap();
+        let scan = rows.find("mode", "scan").unwrap();
+        assert!(delta.num("view_rows_touched_per_write") > 0.0);
         assert_eq!(
-            delta.view_rows_touched_per_write,
-            scan.view_rows_touched_per_write,
+            delta.num("view_rows_touched_per_write"),
+            scan.num("view_rows_touched_per_write"),
             "both maintenance strategies rewrite the same view rows"
         );
         // Coalescing must bound the single-key burst: the flush after 256
         // buffered writes costs no more than twice the flush after one.
-        let b256 = out.bursts.iter().find(|b| b.burst == 256).unwrap();
-        assert!(b256.ratio_vs_single <= 2.0, "ratio = {}", b256.ratio_vs_single);
-        assert_eq!(b256.coalesced_merges, 255, "every repeat write merges");
-        assert!(b256.coalesced_flush_sim_ms * 10.0 < b256.uncoalesced_flush_sim_ms);
+        let b256 = out.part("bursts").rows().find(|b| b.num("burst") == 256.0).unwrap();
+        let ratio = b256.num("ratio_vs_single");
+        assert!(ratio <= 2.0, "ratio = {ratio}");
+        assert_eq!(b256.num("coalesced_merges"), 255.0, "every repeat write merges");
+        assert!(b256.num("coalesced_flush_sim_ms") * 10.0 < b256.num("uncoalesced_flush_sim_ms"));
         // Sim figures are deterministic, and the delta path's cost per
         // write is database-size independent (it probes maintenance
         // indexes instead of scanning views), so at 4x the customers the
         // delta cost is unchanged while the scan path has grown past it.
         let larger = fig_writes(160, 4, 1);
-        let delta_l = larger.rows.iter().find(|r| r.mode == "delta").unwrap();
-        let scan_l = larger.rows.iter().find(|r| r.mode == "scan").unwrap();
+        let delta_l = larger.part("rows").find("mode", "delta").unwrap().num("sim_ms_per_write");
+        let scan_l = larger.part("rows").find("mode", "scan").unwrap().num("sim_ms_per_write");
+        let delta_cost = delta.num("sim_ms_per_write");
         // (not bit-identical: scanned key bytes grow a little with id
         // widths, but the cost must stay flat to well under a percent)
         assert!(
-            (delta_l.sim_ms_per_write - delta.sim_ms_per_write).abs()
-                < delta.sim_ms_per_write * 1e-3,
-            "delta maintenance cost must not grow with database size: {} vs {}",
-            delta.sim_ms_per_write,
-            delta_l.sim_ms_per_write
+            (delta_l - delta_cost).abs() < delta_cost * 1e-3,
+            "delta maintenance cost must not grow with database size: {delta_cost} vs {delta_l}"
         );
-        assert!(
-            delta_l.sim_ms_per_write < scan_l.sim_ms_per_write,
-            "delta {} !< scan {}",
-            delta_l.sim_ms_per_write,
-            scan_l.sim_ms_per_write
-        );
+        assert!(delta_l < scan_l, "delta {delta_l} !< scan {scan_l}");
     }
 
     #[test]
     fn fig_faults_retries_preserve_goodput_and_recovery_loses_nothing() {
         let out = fig_faults(30, 200);
-        assert_eq!(out.rows.len(), FIG_FAULTS_RATES.len() * 2);
+        let rows = out.part("rows");
+        assert_eq!(rows.len(), FIG_FAULTS_RATES.len() * 2);
         let cell = |retry: &str, rate: f64| {
-            out.rows
-                .iter()
-                .find(|r| r.retry == retry && r.fault_rate == rate)
-                .unwrap()
-                .clone()
+            rows.rows().find(|r| r.str("retry") == retry && r.num("fault_rate") == rate).unwrap()
         };
         // Faults actually fire at the 1% point, and retries absorb them:
         // goodput stays within 10% of no-fault while no op is given up on.
         let faulted = cell("backoff", 0.01);
-        assert!(faulted.injected_op_faults > 0);
-        assert_eq!(faulted.giveups, 0);
-        assert_eq!(faulted.ok_ops, faulted.ops);
-        assert!(
-            faulted.goodput_vs_no_fault > 0.9,
-            "1% faults cost more than 10% goodput: {}",
-            faulted.goodput_vs_no_fault
-        );
+        assert!(faulted.num("injected_op_faults") > 0.0);
+        assert_eq!(faulted.num("giveups"), 0.0);
+        assert_eq!(faulted.num("ok_ops"), faulted.num("ops"));
+        let vs_no_fault = faulted.num("goodput_vs_no_fault");
+        assert!(vs_no_fault > 0.9, "1% faults cost more than 10% goodput: {vs_no_fault}");
         // Without retries the same fault rate loses ops outright.
         let unprotected = cell("none", 0.05);
-        assert!(unprotected.giveups > 0);
-        assert!(unprotected.ok_ops < unprotected.ops);
+        assert!(unprotected.num("giveups") > 0.0);
+        assert!(unprotected.num("ok_ops") < unprotected.num("ops"));
         // The crash-recovery demonstration: degradation served the read,
         // recovery lost nothing and left no view dirty.
-        assert!(out.recovery.dirty_fallbacks >= 1);
-        assert!(out.recovery.locks_reclaimed >= 1);
-        assert!(out.recovery.view_rows_rolled_forward > 0);
-        assert_eq!(out.recovery.lost_acked_synced_writes, 0);
-        assert_eq!(out.recovery.dirty_view_rows_after_recovery, 0);
-        assert!(out.recovery.recovery_sim_ms > 0.0);
-        // Determinism: the same seed reproduces the sweep byte-for-byte.
-        let again = fig_faults(30, 200);
-        for (a, b) in out.rows.iter().zip(&again.rows) {
-            assert_eq!(
-                a.goodput_ops_per_sim_sec.to_bits(),
-                b.goodput_ops_per_sim_sec.to_bits()
-            );
-            assert_eq!(a.p95_sim_ms.to_bits(), b.p95_sim_ms.to_bits());
-        }
+        let recovery = out.part("recovery").row(0);
+        assert!(recovery.num("dirty_fallbacks") >= 1.0);
+        assert!(recovery.num("locks_reclaimed") >= 1.0);
+        assert!(recovery.num("view_rows_rolled_forward") > 0.0);
+        assert_eq!(recovery.num("lost_acked_synced_writes"), 0.0);
+        assert_eq!(recovery.num("dirty_view_rows_after_recovery"), 0.0);
+        assert!(recovery.num("recovery_sim_ms") > 0.0);
+        // Determinism: the same seed reproduces the figure byte-for-byte.
+        assert_eq!(sim_bits("fig_faults", out), sim_bits("fig_faults", fig_faults(30, 200)));
     }
 
     #[test]
     fn fig_partial_bounds_footprint_and_stays_deterministic() {
         let out = fig_partial_with(20, &[1.2], &[0.10]);
-        assert_eq!(out.baselines.len(), 1);
-        assert_eq!(out.rows.len(), 2, "one budget cell plus the unbounded cell");
-        let full = &out.baselines[0];
-        assert!(full.view_store_rows > 0 && full.view_store_bytes > 0);
+        assert_eq!(out.part("baselines").len(), 1);
+        let rows = out.part("rows");
+        assert_eq!(rows.len(), 2, "one budget cell plus the unbounded cell");
+        let full = out.part("baselines").row(0);
+        assert!(full.num("view_store_rows") > 0.0 && full.num("view_store_bytes") > 0.0);
 
-        let cell = out.rows.iter().find(|r| r.budget_label == "10%").unwrap();
+        let cell = rows.find("budget_label", "10%").unwrap();
         // The budget binds: the stored view slice is a fraction of full
         // materialization, demand-filled by upqueries and kept under the
         // budget by eviction.
-        assert!(cell.upqueries > 0);
-        assert!(cell.evicted_keys > 0, "a 10% budget must evict under zipf");
-        assert!(cell.bytes_x_vs_full > 2.0, "bytes_x = {}", cell.bytes_x_vs_full);
-        assert!(cell.hit_rate > 0.5, "hit rate = {}", cell.hit_rate);
-        assert!(!cell.view_tables.is_empty());
+        assert!(cell.num("upqueries") > 0.0);
+        assert!(cell.num("evicted_keys") > 0.0, "a 10% budget must evict under zipf");
+        let bytes_x = cell.num("bytes_x_vs_full");
+        assert!(bytes_x > 2.0, "bytes_x = {bytes_x}");
+        let hit_rate = cell.num("hit_rate");
+        assert!(hit_rate > 0.5, "hit rate = {hit_rate}");
+        assert!(matches!(cell.get("view_tables"), Value::Rows(tables) if !tables.is_empty()));
         // Writes to evicted keys are annihilated rather than maintained.
-        assert!(cell.annihilated > 0);
+        assert!(cell.num("annihilated") > 0.0);
 
         // The unbounded cell never evicts and serves the steady state
         // entirely from residency.
-        let unbounded = out.rows.iter().find(|r| r.budget_label == "unbounded").unwrap();
-        assert_eq!(unbounded.evicted_keys, 0);
-        assert!(unbounded.hit_rate >= cell.hit_rate);
-        assert!(unbounded.view_store_bytes <= full.view_store_bytes);
+        let unbounded = rows.find("budget_label", "unbounded").unwrap();
+        assert_eq!(unbounded.num("evicted_keys"), 0.0);
+        assert!(unbounded.num("hit_rate") >= hit_rate);
+        assert!(unbounded.num("view_store_bytes") <= full.num("view_store_bytes"));
 
         // Same seed, same figures — bit-for-bit.
         let again = fig_partial_with(20, &[1.2], &[0.10]);
-        for (a, b) in out.rows.iter().zip(&again.rows) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.resident_bytes, b.resident_bytes);
-            assert_eq!(a.q1k_p95_sim_ms.to_bits(), b.q1k_p95_sim_ms.to_bits());
-            assert_eq!(a.q2k_p50_sim_ms.to_bits(), b.q2k_p50_sim_ms.to_bits());
-        }
+        assert_eq!(sim_bits("fig_partial", out), sim_bits("fig_partial", again));
     }
 
     #[test]
     fn qualitative_tables_have_expected_shape() {
         assert_eq!(table1_qualitative().len(), 3);
         assert_eq!(fig13_mechanisms().len(), 5);
+    }
+
+    #[test]
+    fn matrix_columns_follow_the_evaluated_systems() {
+        let systems: Vec<&str> = MATRIX_COLS[1..].iter().map(|c| c.head).collect();
+        let kinds: Vec<&str> = SystemKind::all().iter().map(|k| k.name()).collect();
+        assert_eq!(systems, kinds);
     }
 }

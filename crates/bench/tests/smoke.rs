@@ -11,17 +11,14 @@ use bench::{
 fn fig10_micro_runs_and_views_beat_joins() {
     let rows = fig10_micro(&[25], 2, 1);
     assert_eq!(rows.len(), 2, "one row per micro query");
-    for row in &rows {
-        assert!(row.view_scan_ms.mean > 0.0, "{}: view scan measured", row.query);
-        assert!(row.join_ms.mean > 0.0, "{}: join measured", row.query);
+    for row in rows.rows() {
+        let query = row.str("query");
+        assert!(row.num("view_sim_ms") > 0.0, "{query}: view scan measured");
+        assert!(row.num("join_sim_ms") > 0.0, "{query}: join measured");
         // The paper's central micro-result: scanning the materialized view is
         // faster than the client-side join at every scale.
-        assert!(
-            row.speedup > 1.0,
-            "{}: view scan should beat the join (speedup {})",
-            row.query,
-            row.speedup
-        );
+        let speedup = row.num("sim_speedup");
+        assert!(speedup > 1.0, "{query}: view scan should beat the join (speedup {speedup})");
     }
 }
 
@@ -29,8 +26,8 @@ fn fig10_micro_runs_and_views_beat_joins() {
 fn fig10_limit_companion_is_o_of_k() {
     let rows = fig10_limit(&[25, 50], 10, 1, 1);
     assert_eq!(rows.len(), 2);
-    for row in &rows {
-        assert_eq!(row.store_rows_scanned, 10, "{} customers", row.customers);
+    for row in rows.rows() {
+        assert_eq!(row.num("store_rows_scanned"), 10.0, "{} customers", row.num("customers"));
     }
 }
 
@@ -43,10 +40,10 @@ fn fig10_micro_parallel_sim_times_only_improve() {
     let serial = fig10_micro(&[25], 1, 1);
     let parallel = fig10_micro(&[25], 1, 4);
     assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.query, p.query);
-        assert!(p.view_scan_ms.mean <= s.view_scan_ms.mean + 1e-9);
-        assert!(p.join_ms.mean <= s.join_ms.mean + 1e-9);
+    for (s, p) in serial.rows().zip(parallel.rows()) {
+        assert_eq!(s.str("query"), p.str("query"));
+        assert!(p.num("view_sim_ms") <= s.num("view_sim_ms") + 1e-9);
+        assert!(p.num("join_sim_ms") <= s.num("join_sim_ms") + 1e-9);
     }
 }
 
@@ -54,21 +51,17 @@ fn fig10_micro_parallel_sim_times_only_improve() {
 fn fig_par_sweep_runs_at_tiny_scale() {
     let rows = fig_par(25, &[1, 2], 1);
     assert_eq!(rows.len(), 2);
-    assert_eq!(rows[0].threads, 1);
-    assert!(rows.iter().all(|r| r.view_scan_ms.mean > 0.0 && r.join_ms.mean > 0.0));
-    assert!(rows[1].join_ms.mean <= rows[0].join_ms.mean);
+    assert_eq!(rows.row(0).num("threads"), 1.0);
+    assert!(rows.rows().all(|r| r.num("view_sim_ms") > 0.0 && r.num("join_sim_ms") > 0.0));
+    assert!(rows.row(1).num("join_sim_ms") <= rows.row(0).num("join_sim_ms"));
 }
 
 #[test]
 fn fig11_lock_overhead_grows_with_lock_count() {
     let rows = fig11_lock_overhead(&[1, 8], 2);
     assert_eq!(rows.len(), 2);
-    assert!(
-        rows[1].overhead_ms.mean > rows[0].overhead_ms.mean,
-        "locking 8 rows must cost more than locking 1 ({} vs {})",
-        rows[1].overhead_ms.mean,
-        rows[0].overhead_ms.mean
-    );
+    let (one, eight) = (rows.row(0).num("sim_ms"), rows.row(1).num("sim_ms"));
+    assert!(eight > one, "locking 8 rows must cost more than locking 1 ({eight} vs {one})");
 }
 
 #[test]
@@ -99,9 +92,8 @@ fn comparison_matrix_and_table3_at_tiny_scale() {
     assert!(!sizes.is_empty());
     let relative = |name: &str| {
         sizes
-            .iter()
-            .find(|r| r.system == name)
-            .map(|r| r.relative_to_baseline)
+            .find("system", name)
+            .map(|r| r.num("relative_to_baseline"))
             .unwrap_or_else(|| panic!("{name} missing from Table III"))
     };
     assert!((relative("Baseline") - 1.0).abs() < 1e-9);
@@ -115,13 +107,12 @@ fn comparison_matrix_and_table3_at_tiny_scale() {
 fn ablation_single_lock_beats_per_row_locks() {
     let rows = ablation_lock_granularity(&[1, 16]);
     assert_eq!(rows.len(), 2);
-    let many = &rows[1];
+    let many = rows.row(1);
+    let (single, per_row) = (many.num("single_lock_sim_ms"), many.num("per_row_locks_sim_ms"));
     assert!(
-        many.single_lock_ms < many.per_row_locks_ms,
-        "one hierarchical lock ({} ms) must be cheaper than {} row locks ({} ms)",
-        many.single_lock_ms,
-        many.rows_touched,
-        many.per_row_locks_ms
+        single < per_row,
+        "one hierarchical lock ({single} ms) must be cheaper than {} row locks ({per_row} ms)",
+        many.num("rows_touched")
     );
 }
 

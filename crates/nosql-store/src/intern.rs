@@ -31,6 +31,8 @@ pub fn intern_name(name: &str) -> Arc<str> {
     }
     let shared: Arc<str> = Arc::from(name);
     set.insert(Arc::clone(&shared));
+    #[cfg(test)]
+    tests::INSERTED_HERE.with(|n| n.set(n.get() + 1));
     shared
 }
 
@@ -56,6 +58,17 @@ pub fn interned_name_count() -> usize {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// Names this thread inserted.  The table is shared with every
+        /// test running concurrently, so growth assertions count only the
+        /// test's own inserts.
+        pub(super) static INSERTED_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn inserted_here() -> usize {
+        INSERTED_HERE.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn interning_shares_storage() {
         let a = intern_name("tst_store_intern_cf");
@@ -65,18 +78,19 @@ mod tests {
 
     #[test]
     fn lookup_never_inserts() {
-        let before = interned_name_count();
+        let before = inserted_here();
         assert!(lookup_name("tst_store_lookup_never_seen").is_none());
-        assert_eq!(interned_name_count(), before);
+        assert_eq!(inserted_here(), before);
     }
 
     #[test]
     fn repeat_interning_does_not_grow_the_table() {
+        let before = inserted_here();
         let _ = intern_name("tst_store_intern_stable");
-        let before = interned_name_count();
+        assert_eq!(inserted_here(), before + 1, "the first sight inserts");
         for _ in 0..100 {
             let _ = intern_name("tst_store_intern_stable");
         }
-        assert_eq!(interned_name_count(), before);
+        assert_eq!(inserted_here(), before + 1);
     }
 }

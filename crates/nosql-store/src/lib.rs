@@ -16,7 +16,8 @@
 //!
 //! Instead of a physical cluster, every operation charges a deterministic
 //! cost from [`simclock::CostModel`] into a shared [`simclock::SimClock`]
-//! (network round trips, WAL syncs, scan streaming).  See `DESIGN.md` §2 for
+//! (network round trips, WAL syncs, scan streaming).  The cost model's
+//! module docs (`crates/simclock/src/cost.rs`) explain the calibration and
 //! why this substitution preserves the paper's results.
 //!
 //! # Quick start

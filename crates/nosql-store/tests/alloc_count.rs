@@ -41,9 +41,10 @@ fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// The counter is process-global and the test harness runs tests on
-/// parallel threads; measurement windows must not overlap or they count
-/// each other's allocations.
+/// The allocation counter and the name interner are process-global and
+/// the test harness runs tests on parallel threads; every test of this file
+/// measures inside this window so no test counts another's allocations or
+/// interned names.
 static MEASUREMENT_WINDOW: Mutex<()> = Mutex::new(());
 
 fn exclusive_window() -> std::sync::MutexGuard<'static, ()> {
@@ -123,9 +124,12 @@ fn put_allocations_do_not_scale_with_row_width() {
 }
 
 /// Interning is stable: repeated writes to existing columns must not grow
-/// the store's name-interner table.
+/// the store's name-interner table.  The table is process-global like the
+/// allocation counter, and the other tests intern new names (`col00` ..
+/// `col29`), so the measurement takes the same exclusive window.
 #[test]
 fn repeated_writes_do_not_grow_the_interner() {
+    let _window = exclusive_window();
     let mut region = region();
     let schema = schema();
     let put = Put::new("r").with("cf", "stable_col", "v");

@@ -139,6 +139,8 @@ fn intern_locked(inner: &mut Inner, name: &str) -> u32 {
     if let Some(&id) = inner.ids.get(name) {
         return id;
     }
+    #[cfg(test)]
+    tests::INSERTED_HERE.with(|n| n.set(n.get() + 1));
     let bare = name.rsplit('.').next().unwrap_or(name);
     let id = inner.entries.len() as u32;
     if bare == name {
@@ -174,6 +176,17 @@ pub fn interned_count() -> usize {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// Names this thread inserted.  The table is shared with every
+        /// test running concurrently, so growth assertions count only the
+        /// test's own inserts.
+        pub(super) static INSERTED_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn inserted_here() -> usize {
+        INSERTED_HERE.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn interning_is_idempotent_and_id_stable() {
         let a = intern("tst_intern.a");
@@ -195,9 +208,13 @@ mod tests {
 
     #[test]
     fn lookup_never_inserts() {
-        let before = interned_count();
+        let before = inserted_here();
         assert!(lookup("tst_lookup_never_seen_xyz").is_none());
-        assert_eq!(interned_count(), before);
+        assert_eq!(inserted_here(), before);
+        // The counter sees inserts: interning a new qualified name adds it
+        // and its bare form.
+        intern("tst_lookup_counted.fresh_col");
+        assert_eq!(inserted_here(), before + 2);
     }
 
     #[test]
