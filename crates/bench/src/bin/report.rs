@@ -16,7 +16,8 @@
 //! (`fig_par` always sweeps its own 1/2/4/8 axis); `--out PATH` redirects
 //! the `--json` report; `--explain` additionally dumps the Q1/Q2 plan
 //! trees, baseline vs view-rewritten, showing the Synergy rewrite rule
-//! firing inside the planner.
+//! firing inside the planner.  `--help` prints the usage and the artifact
+//! names; an unknown artifact or flag prints them and exits with status 2.
 //!
 //! With `--json`, the run additionally writes `BENCH_report.json` containing,
 //! per figure, both the **simulated** milliseconds of the cost model (the
@@ -40,7 +41,18 @@ struct Options {
     out: String,
 }
 
-fn parse_args() -> Options {
+/// The usage text: flags plus every artifact name of [`bench::FIGURES`].
+fn usage() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    format!(
+        "usage: report [ARTIFACT] [--customers N] [--reps N] [--threads N] [--json] [--out PATH] [--explain]\n\
+         artifacts: all {}\n",
+        names.join(" ")
+    )
+}
+
+/// Parses the command line; `Ok(None)` asks for the usage text.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
     let mut options = Options {
         artifact: "all".to_string(),
         customers: DEFAULT_CUSTOMERS,
@@ -50,25 +62,44 @@ fn parse_args() -> Options {
         explain: false,
         out: "BENCH_report.json".to_string(),
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| panic!("{arg} takes a value"));
+        let mut value = || args.next().ok_or_else(|| format!("{arg} takes a value"));
+        let number = |text: String| {
+            text.parse::<u64>()
+                .map_err(|_| format!("{arg} takes a number, got {text:?}"))
+        };
         match arg.as_str() {
-            "--customers" => options.customers = value().parse().expect("--customers takes a number"),
-            "--reps" => options.reps = value().parse().expect("--reps takes a number"),
-            "--threads" => options.threads = value().parse::<usize>().expect("--threads takes a number").max(1),
-            "--out" => options.out = value(),
+            "--help" | "-h" => return Ok(None),
+            "--customers" => options.customers = number(value()?)?,
+            "--reps" => options.reps = number(value()?)?,
+            "--threads" => options.threads = (number(value()?)? as usize).max(1),
+            "--out" => options.out = value()?,
             "--json" => options.json = true,
             "--explain" => options.explain = true,
-            other if !other.starts_with("--") => options.artifact = other.to_string(),
-            other => panic!("unknown flag {other}"),
+            name if !name.starts_with('-') => {
+                if name != "all" && !FIGURES.iter().any(|f| f.name == name) {
+                    return Err(format!("unknown artifact {name}"));
+                }
+                options.artifact = name.to_string();
+            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    options
+    Ok(Some(options))
 }
 
 fn main() {
-    let options = parse_args();
+    let options = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            print!("{}", usage());
+            return;
+        }
+        Err(message) => {
+            eprint!("report: {message}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     let artifact = options.artifact.as_str();
     println!("== Synergy reproduction report ==");
     println!(

@@ -121,3 +121,26 @@ fn qualitative_tables_are_populated() {
     assert!(!table1_qualitative().is_empty());
     assert!(!fig13_mechanisms().is_empty());
 }
+
+#[test]
+fn report_cli_prints_usage_and_rejects_unknown_names() {
+    let report = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(args)
+            .output()
+            .expect("report binary runs")
+    };
+    let help = report(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let usage = String::from_utf8_lossy(&help.stdout);
+    for figure in bench::FIGURES {
+        assert!(usage.contains(figure.name), "usage lists {}", figure.name);
+    }
+    // A typo must fail loudly, before running anything.
+    for args in [&["fig99"][..], &["fig10", "--bogus"], &["fig10", "--reps"]] {
+        let out = report(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran nothing");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("artifacts: all"));
+    }
+}

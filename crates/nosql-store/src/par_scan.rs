@@ -10,6 +10,16 @@
 //! concatenation *is* the global key order, and the parallel cursor returns
 //! exactly what the serial cursor would.
 //!
+//! This is the one multi-row read path of the workspace: the query
+//! executor's decoded scan source and Synergy's view recompute and
+//! maintenance scans all open a [`ParScanCursor`] at their worker width and
+//! pull it a page at a time ([`ParScanCursor::next_page`]).  Width 1 (or a
+//! faulty cluster, or a table with one region in range) *is* the serial
+//! [`Cluster::scan_stream`] cursor, so single-threaded figures charge
+//! exactly what the serial walk charges.  A page fetch that fails after the
+//! retry policy ends the cursor; [`ParScanCursor::take_error`] reports it,
+//! so a caller can tell a truncated scan from a complete one.
+//!
 //! # Determinism
 //!
 //! Workers charge sim costs into **private** clocks and advance in
@@ -21,9 +31,7 @@
 //! exhaustion (or drop) the deltas merge per the workspace rule:
 //! **elapsed = max of workers** charged once into the shared clock
 //! ([`simclock::merge_elapsed`]), **cost counters = sum** (workers bump the
-//! shared atomic [`crate::OpCounters`] directly).  `threads <= 1` routes to
-//! the serial [`Cluster::scan_stream`] unchanged, so single-threaded
-//! figures are byte-identical to the serial pipeline.
+//! shared atomic [`crate::OpCounters`] directly).
 //!
 //! # Memory: ordered merge buffers later sub-ranges
 //!
@@ -36,9 +44,8 @@
 //! would idle every worker but the one being drained and serialize the
 //! scan.  Rounds only run on demand, so early-stopping consumers (row
 //! limits, abandoned cursors) buffer in proportion to what they consumed.
-//! Callers that need PR 3's O(page) streaming memory keep the serial
-//! [`Cluster::scan_stream`] — which is also what every `threads = 1` and
-//! limit-pushdown path uses.
+//! Width 1 keeps the serial cursor's O(page) streaming memory, which is why
+//! the query planner runs limit-pushed and early-stopping sources there.
 
 use crate::cell::Bytes;
 use crate::cluster::Cluster;
@@ -67,6 +74,8 @@ struct ScanWorker {
 /// like the serial [`ScanCursor`] it partitions.
 pub struct ParScanCursor {
     inner: ParInner,
+    /// The rest of the page being handed out row by row.
+    buffered: std::vec::IntoIter<ResultRow>,
 }
 
 enum ParInner {
@@ -83,11 +92,8 @@ struct ParState {
     threads: usize,
     /// Index of the worker currently being drained.
     current: usize,
-    /// Rows ready to emit from `workers[current]`.
-    buffered: std::vec::IntoIter<ResultRow>,
     /// Global row limit still unemitted (`usize::MAX` when unlimited).
     remaining: usize,
-    rows_streamed: u64,
     /// Worker clocks already merged into the shared clock.
     merged: bool,
 }
@@ -110,37 +116,31 @@ impl Cluster {
         // workers' private clocks do not advance.  Rather than inject
         // incoherently, a faulty cluster scans serially — the determinism
         // contract for fault experiments is single-threaded anyway.
-        if threads == 1 || self.faults_enabled() {
-            return Ok(ParScanCursor {
-                inner: ParInner::Serial(Box::new(self.scan_stream(table, scan)?)),
-            });
-        }
-        if !scan.start.is_empty() && !scan.stop.is_empty() && scan.start > scan.stop {
-            return Err(StoreError::InvalidRange);
-        }
-        let state = self.table(table)?;
-
-        // Candidate split keys: the region start boundaries strictly inside
-        // the scan range, snapshotted now.  (A later split only refines a
-        // sub-range; each worker's cursor re-locates regions per page.)
-        let splits: Vec<Bytes> = {
+        let splits: Vec<Bytes> = if threads == 1 || self.faults_enabled() {
+            Vec::new()
+        } else {
+            // Candidate split keys: the region start boundaries strictly
+            // inside the scan range, snapshotted now.  (A later split only
+            // refines a sub-range; each worker's cursor re-locates regions
+            // per page.)  An inverted range has none, so it reaches the
+            // serial cursor, which rejects it.
+            let state = self.table(table)?;
             let regions = state.regions.read();
-            let mut starts: Vec<Bytes> = regions
+            regions
                 .iter()
                 .skip(1)
                 .map(|r| r.start.clone())
-                .collect();
-            starts.retain(|s| {
-                (scan.start.is_empty() || s.as_slice() > scan.start.as_slice())
-                    && (scan.stop.is_empty() || s.as_slice() < scan.stop.as_slice())
-            });
-            starts
+                .filter(|s| {
+                    (scan.start.is_empty() || s.as_slice() > scan.start.as_slice())
+                        && (scan.stop.is_empty() || s.as_slice() < scan.stop.as_slice())
+                })
+                .collect()
         };
         let parts = threads.min(splits.len() + 1);
         if parts == 1 {
-            return Ok(ParScanCursor {
-                inner: ParInner::Serial(Box::new(self.scan_stream(table, scan)?)),
-            });
+            return Ok(ParScanCursor::new(ParInner::Serial(Box::new(
+                self.scan_stream(table, scan)?,
+            ))));
         }
 
         // `parts` contiguous sub-ranges: the scan bounds plus `parts - 1`
@@ -171,27 +171,22 @@ impl Cluster {
         }
 
         let remaining = if scan.limit == 0 { usize::MAX } else { scan.limit };
-        Ok(ParScanCursor {
-            inner: ParInner::Parallel(ParState {
-                cluster: self.clone(),
-                workers,
-                threads,
-                current: 0,
-                buffered: Vec::new().into_iter(),
-                remaining,
-                rows_streamed: 0,
-                merged: false,
-            }),
-        })
+        Ok(ParScanCursor::new(ParInner::Parallel(ParState {
+            cluster: self.clone(),
+            workers,
+            threads,
+            current: 0,
+            remaining,
+            merged: false,
+        })))
     }
 }
 
 impl ParScanCursor {
-    /// Total rows this cursor has yielded so far.
-    pub fn rows_streamed(&self) -> u64 {
-        match &self.inner {
-            ParInner::Serial(cursor) => cursor.rows_streamed(),
-            ParInner::Parallel(state) => state.rows_streamed,
+    fn new(inner: ParInner) -> Self {
+        ParScanCursor {
+            inner,
+            buffered: Vec::new().into_iter(),
         }
     }
 
@@ -202,35 +197,60 @@ impl ParScanCursor {
             ParInner::Parallel(state) => state.workers.len(),
         }
     }
+
+    /// Returns the next run of rows in key order — the rest of a partly
+    /// consumed page, else one whole store page — or `None` once the scan
+    /// is exhausted or failed.  Through the serial cursor this fetches
+    /// exactly the page a row-at-a-time pull would fetch next, so a caller
+    /// pulling pages at width 1 is charged what a row-by-row caller is.
+    pub fn next_page(&mut self) -> Option<Vec<ResultRow>> {
+        let leftover: Vec<ResultRow> = self.buffered.by_ref().collect();
+        if !leftover.is_empty() {
+            return Some(leftover);
+        }
+        match &mut self.inner {
+            ParInner::Serial(cursor) => cursor.next_page(),
+            ParInner::Parallel(state) => state.next_page(),
+        }
+    }
+
+    /// Takes the error that ended this cursor early, if a page fetch (of
+    /// any worker) failed after exhausting the retry policy.  A cursor that
+    /// ended and returns `None` here covered its whole range.
+    pub fn take_error(&mut self) -> Option<StoreError> {
+        match &mut self.inner {
+            ParInner::Serial(cursor) => cursor.take_error(),
+            ParInner::Parallel(state) => {
+                state.workers.iter_mut().find_map(|w| w.cursor.take_error())
+            }
+        }
+    }
 }
 
 impl ParState {
-    fn next_row(&mut self) -> Option<ResultRow> {
-        if self.remaining == 0 {
-            self.merge_clocks();
-            return None;
-        }
-        loop {
-            if let Some(row) = self.buffered.next() {
-                self.rows_streamed += 1;
-                self.remaining -= 1;
+    fn next_page(&mut self) -> Option<Vec<ResultRow>> {
+        while self.remaining > 0 && self.current < self.workers.len() {
+            let worker = &mut self.workers[self.current];
+            if let Some(mut page) = worker.pages.pop_front() {
+                page.truncate(self.remaining);
+                self.remaining -= page.len();
                 if self.remaining == 0 {
                     self.merge_clocks();
                 }
-                return Some(row);
+                return Some(page);
             }
-            if self.current >= self.workers.len() {
-                self.merge_clocks();
-                return None;
-            }
-            if let Some(page) = self.workers[self.current].pages.pop_front() {
-                self.buffered = page.into_iter();
-            } else if self.workers[self.current].done {
-                self.current += 1;
-            } else {
+            if !worker.done {
                 self.fetch_round();
+            } else if worker.cursor.error().is_some() {
+                // A failed sub-range ends the whole scan: rows past the gap
+                // must not be emitted as if the range were complete.
+                self.current = self.workers.len();
+            } else {
+                self.current += 1;
             }
         }
+        self.merge_clocks();
+        None
     }
 
     /// One synchronous round: every unfinished worker pulls up to
@@ -279,9 +299,11 @@ impl Iterator for ParScanCursor {
     type Item = ResultRow;
 
     fn next(&mut self) -> Option<ResultRow> {
-        match &mut self.inner {
-            ParInner::Serial(cursor) => cursor.next(),
-            ParInner::Parallel(state) => state.next_row(),
+        loop {
+            if let Some(row) = self.buffered.next() {
+                return Some(row);
+            }
+            self.buffered = self.next_page()?.into_iter();
         }
     }
 }
@@ -317,6 +339,27 @@ mod tests {
             assert!(cursor.workers() > 1, "table has regions to partition");
             let parallel: Vec<ResultRow> = cursor.collect();
             assert_eq!(parallel, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn page_pulls_concatenate_to_the_serial_scan_at_every_width() {
+        let c = loaded_cluster(2_000);
+        let (serial, serial_sim) = c
+            .clock()
+            .measure(|| c.scan_stream("t", Scan::all()).unwrap().collect::<Vec<_>>());
+        for threads in [1, 2, 4] {
+            let (pages, sim) = c.clock().measure(|| {
+                let mut cursor = c.par_scan_stream("t", Scan::all(), threads).unwrap();
+                std::iter::from_fn(|| cursor.next_page()).collect::<Vec<_>>()
+            });
+            assert!(pages
+                .iter()
+                .all(|p| !p.is_empty() && p.len() <= crate::SCAN_PAGE_ROWS));
+            assert_eq!(pages.concat(), serial, "threads={threads}");
+            if threads == 1 {
+                assert_eq!(sim, serial_sim, "width 1 pages charge the serial walk");
+            }
         }
     }
 

@@ -1,10 +1,11 @@
 //! A small chunked scoped-thread pool for region-parallel execution.
 //!
 //! This workspace builds offline (no crates registry), so instead of rayon
-//! the parallel layers — `nosql_store`'s region-parallel scans, the query
-//! executor's partitioned hash join and parallel top-k, Synergy's batch view
-//! refreshes — share this ~100-line fan-out primitive built on
-//! [`std::thread::scope`].
+//! the parallel layers — `nosql_store`'s region-parallel scan rounds, the
+//! query executor's per-page scan decode and partitioned hash join — share
+//! this ~100-line fan-out primitive built on [`std::thread::scope`].  Each
+//! caller runs the same code at every worker width; width 1 is simply a
+//! call that runs inline.
 //!
 //! The model is deliberately simple and deterministic:
 //!
@@ -21,16 +22,6 @@
 //!
 //! A worker panic propagates to the caller (the join re-raises it), so
 //! errors inside chunks should be returned as values, not panics.
-
-use std::num::NonZeroUsize;
-
-/// Number of hardware threads, used by callers that want a default degree of
-/// parallelism.  Falls back to 1 when the platform cannot report it.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Splits `len` items into at most `parts` contiguous index ranges of
 /// near-equal size (the first `len % parts` ranges are one longer).  Empty

@@ -750,12 +750,9 @@ fn scan_lookup(
         }
         // Probe access is chosen from equality constraints only, so a
         // range path never fires here; it falls through to the full walk.
-        AccessPath::FullScan | AccessPath::KeyRangeScan => {
-            let cursor = executor
-                .cluster()
-                .scan_stream(&def.name, executor.bounded_scan(Scan::all()))?;
-            cursor.map(|stored| def.decode_row(&stored)).collect()
-        }
+        AccessPath::FullScan | AccessPath::KeyRangeScan => executor
+            .scan_rows(def, executor.bounded_scan(Scan::all()), 1)?
+            .collect::<Result<_, _>>()?,
     };
     Ok(rows
         .into_iter()
@@ -780,10 +777,9 @@ fn prefix_rows(
         // Close the last bound component so "42" does not match "420".
         prefix.push(KEY_DELIMITER);
     }
-    let cursor = executor
-        .cluster()
-        .scan_stream(&def.name, executor.bounded_scan(Scan::prefix(prefix)))?;
-    Ok(cursor.map(|stored| def.decode_row(&stored)).collect())
+    executor
+        .scan_rows(def, executor.bounded_scan(Scan::prefix(prefix)), 1)?
+        .collect()
 }
 
 /// Applies input deltas to the materialized aggregate state: per group,

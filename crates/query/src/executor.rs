@@ -31,9 +31,10 @@ use crate::catalog::{Catalog, TableDef, FAMILY};
 use crate::optimize;
 use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
+use crate::stream::{DecodeCtx, ScanRows};
 use nosql_store::ops::{Get, Scan};
 use nosql_store::Cluster;
-use relational::{Row, Value};
+use relational::Value;
 use sql::{SelectStatement, Statement};
 use std::sync::Arc;
 
@@ -87,9 +88,8 @@ pub struct Executor {
     dirty_protection: bool,
     dirty_retry_limit: usize,
     snapshot: Option<nosql_store::Timestamp>,
-    /// Degree of parallelism for full scans, hash joins and top-k (1 =
-    /// fully serial; the serial paths are kept verbatim so single-threaded
-    /// execution is byte-identical to the pre-parallel pipeline).
+    /// Worker width the planner gives full scans and equi-joins (1 = every
+    /// operator runs on one worker).
     threads: usize,
 }
 
@@ -106,12 +106,11 @@ impl Executor {
         }
     }
 
-    /// Enables region-parallel execution with up to `threads` workers: full
-    /// table scans run as [`Cluster::par_scan_stream`] fan-outs with
-    /// parallel decode, equi-joins hash-partition their build side and probe
-    /// per-partition, and ORDER BY + LIMIT runs per-worker bounded heaps
-    /// merged at the barrier.  `threads <= 1` keeps the serial pipeline
-    /// byte-for-byte.
+    /// Enables region-parallel execution with up to `threads` workers: the
+    /// planner gives full scans that width ([`Cluster::par_scan_stream`]
+    /// fan-outs with per-page parallel decode) and equi-joins that many hash
+    /// partitions probed chunk-parallel.  Width 1 runs the same operators on
+    /// one worker.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -263,59 +262,18 @@ impl Executor {
         }
     }
 
-    pub(crate) fn is_dirty(&self, stored: &nosql_store::ResultRow) -> bool {
-        self.dirty_protection && stored_row_is_dirty(stored)
-    }
-}
-
-/// Decodes a whole cursor through `def`, fanning the decode out over
-/// `threads` pool workers in order-preserving batches (one store page per
-/// worker per batch, so at most one raw batch is resident alongside the
-/// decoded output).  `threads <= 1` stream-decodes row by row.  Shared by
-/// the batch consumers outside the executor pipeline — Synergy's view
-/// materialization and maintenance scans.
-pub fn par_decode_rows(
-    def: &TableDef,
-    cursor: impl Iterator<Item = nosql_store::ResultRow>,
-    threads: usize,
-) -> Vec<Row> {
-    par_decode_filtered(def, cursor, threads, |_| true)
-}
-
-/// [`par_decode_rows`] with a row predicate fused into the decode, so
-/// selective consumers (e.g. maintenance's full-view fallback keeping a
-/// handful of rows) hold only the matches plus one in-flight batch — never
-/// the whole decoded table — at every thread count.
-pub fn par_decode_filtered(
-    def: &TableDef,
-    cursor: impl Iterator<Item = nosql_store::ResultRow>,
-    threads: usize,
-    keep: impl Fn(&Row) -> bool + Sync,
-) -> Vec<Row> {
-    if threads <= 1 {
-        return cursor
-            .map(|stored| def.decode_row(&stored))
-            .filter(|row| keep(row))
-            .collect();
-    }
-    let keep = &keep;
-    let mut cursor = cursor;
-    let mut out = Vec::new();
-    loop {
-        let batch: Vec<nosql_store::ResultRow> = cursor
-            .by_ref()
-            .take(threads * nosql_store::SCAN_PAGE_ROWS)
-            .collect();
-        if batch.is_empty() {
-            return out;
-        }
-        out.extend(
-            pool::map(batch, threads, |stored| {
-                let row = def.decode_row(&stored);
-                keep(&row).then_some(row)
-            })
-            .into_iter()
-            .flatten(),
-        );
+    /// Streams the raw rows `scan` selects from `def`'s table, decoded
+    /// under bare column names at `width` region-parallel workers, through
+    /// the executor's one decoded scan source ([`ScanRows`]).  No dirty
+    /// check and no snapshot bound are applied (wrap `scan` in
+    /// [`Executor::bounded_scan`] for the latter): view materialization and
+    /// maintenance read raw rows.
+    pub fn scan_rows<'a>(
+        &self,
+        def: &'a TableDef,
+        scan: Scan,
+        width: usize,
+    ) -> Result<ScanRows<'a>, QueryError> {
+        ScanRows::open(&self.cluster, DecodeCtx::bare(def), scan, width, false)
     }
 }

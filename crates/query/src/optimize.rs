@@ -22,12 +22,16 @@
 //!    computed once; the decode mask and the store-level scan projection
 //!    derive from it.
 //! 5. **Limit pushdown** — a bare single-table `LIMIT k` is pushed into the
-//!    store scan; any other bare LIMIT stops pulling the pipeline early
-//!    (and pins its sources to the serial streaming operators).
-//! 6. **Operator parallelism** — at `threads > 1`, full scans fan out
-//!    region-parallel, equi-joins hash-partition, and ORDER BY + LIMIT
-//!    runs per-worker bounded heaps, unless a bare LIMIT's early
-//!    termination forbids it.
+//!    store scan; any other bare LIMIT stops pulling the pipeline early.
+//! 6. **Operator width** — the worker width of every scan and join is
+//!    decided here, once, and stored on the plan
+//!    ([`AliasAccess`]`::width`, [`JoinStep`]`::width`); execution and the
+//!    rendered plan both read it.  At `threads > 1` a full scan without a
+//!    pushed store limit runs `threads` region-parallel workers, and an
+//!    equi-join hashes into `threads` partitions probed chunk-parallel —
+//!    except under a bare LIMIT, whose start source and joins stay at
+//!    width 1 so the pipeline can stop pulling after `k` rows.  Everything
+//!    else runs at width 1: the same operators on one worker.
 //!
 //! Statement-level rewrites (Synergy's materialized-view substitution)
 //! happen *before* binding through [`crate::PlanRewriter`] and are recorded
@@ -199,6 +203,7 @@ pub(crate) fn plan_select(
         }
     }
 
+    let lse = limit_stops_early(select);
     let mut remaining: Vec<usize> = (0..n_aliases).collect();
     remaining.retain(|&i| i != start);
     let mut joined_aliases = vec![aliases[start].0.clone()];
@@ -236,14 +241,18 @@ pub(crate) fn plan_select(
             .map(|&i| resolve_col(join_column_other_side(&conditions[i], &alias_name)))
             .collect();
         joined_aliases.push(alias_name);
-        // --- Rule 6 (joins): serial vs hash-partitioned ---------------
-        let partitioned = threads > 1 && !limit_stops_early(select) && !cond_idxs.is_empty();
+        // --- Rule 6 (joins): hash partitions --------------------------
+        let width = if threads > 1 && !lse && !cond_idxs.is_empty() {
+            threads
+        } else {
+            1
+        };
         join_steps.push(JoinStep {
             alias: idx,
             cond_idxs,
             left_syms,
             right_syms,
-            partitioned,
+            width,
         });
     }
 
@@ -253,7 +262,6 @@ pub(crate) fn plan_select(
     // --- Rule 5: limit pushdown ----------------------------------------
     let single_table = n_aliases == 1;
     let has_group = select.has_aggregates() || !select.group_by.is_empty();
-    let lse = limit_stops_early(select);
     // Store-level LIMIT pushdown: safe only when no downstream operator
     // can drop or reorder rows, i.e. a bare single-table `LIMIT k`.
     // Every other shape still benefits from stream laziness (the source
@@ -320,10 +328,23 @@ pub(crate) fn plan_select(
                 }
                 _ => None,
             };
+            // --- Rule 6 (scans): region-parallel workers -------------
+            let alias_store_limit = if ai == start { store_limit } else { 0 };
+            let width = if matches!(paths[ai], AccessPath::FullScan)
+                && threads > 1
+                && alias_store_limit == 0
+                && !(ai == start && lse)
+            {
+                threads
+            } else {
+                1
+            };
             Ok(AliasAccess {
                 path: paths[ai].clone(),
                 decode,
                 index,
+                width,
+                store_limit: alias_store_limit,
             })
         })
         .collect::<Result<_, QueryError>>()?;
@@ -343,13 +364,10 @@ pub(crate) fn plan_select(
         &aliases,
         &conditions,
         &single_alias,
-        &paths,
+        &access,
         start,
         &join_steps,
         &residual,
-        store_limit,
-        lse,
-        threads,
         &group,
         &order_keys,
         &project,
@@ -364,8 +382,6 @@ pub(crate) fn plan_select(
         join_steps,
         residual,
         access,
-        store_limit,
-        limit_stops_early: lse,
         limit: select.limit,
         group,
         order_keys,
@@ -377,9 +393,9 @@ pub(crate) fn plan_select(
 }
 
 /// True when a bare LIMIT (no ORDER BY, no aggregation) stops pulling the
-/// pipeline lazily after k output rows; parallel sources and the
-/// partitioned join work in eager batches and would forfeit that early
-/// termination, so such statements stay on the serial streaming operators.
+/// pipeline lazily after k output rows.  Wide scans and chunked joins work
+/// in eager batches and would forfeit that early termination, so such
+/// statements keep their start source and joins at width 1.
 fn limit_stops_early(select: &SelectStatement) -> bool {
     let has_group = select.has_aggregates() || !select.group_by.is_empty();
     select.limit.is_some() && select.order_by.is_empty() && !has_group
@@ -467,58 +483,42 @@ fn build_logical(
     aliases: &[(String, std::sync::Arc<TableDef>)],
     conditions: &[PlannedCondition],
     single_alias: &[Vec<usize>],
-    paths: &[AccessPath],
+    access: &[AliasAccess],
     start: usize,
     join_steps: &[JoinStep],
     residual: &[usize],
-    store_limit: usize,
-    limit_stops_early: bool,
-    threads: usize,
     group: &Option<GroupPlan>,
     order_keys: &[(Symbol, bool)],
     project: &Option<Vec<(Symbol, Symbol)>>,
     rewrite: Option<RewriteNote>,
 ) -> LogicalPlan {
-    let scan_node = |ai: usize, is_start: bool| -> LogicalPlan {
+    let scan_node = |ai: usize| -> LogicalPlan {
         let (alias, def) = &aliases[ai];
-        // Mirrors the physical source choice: full scans fan out on the
-        // pool unless a pushed store limit or a bare LIMIT downstream pins
-        // the source to the serial cursor.
-        let this_store_limit = if is_start { store_limit } else { 0 };
-        let parallel = if matches!(paths[ai], AccessPath::FullScan)
-            && threads > 1
-            && this_store_limit == 0
-            && !(is_start && limit_stops_early)
-        {
-            threads
-        } else {
-            1
-        };
         LogicalPlan::Scan {
             table: def.name.clone(),
             alias: alias.clone(),
-            access: paths[ai].clone(),
+            access: access[ai].path.clone(),
             predicates: single_alias[ai]
                 .iter()
                 .map(|&i| plan_predicate(&conditions[i]))
                 .collect(),
-            parallel,
-            store_limit: this_store_limit,
+            parallel: access[ai].width,
+            store_limit: access[ai].store_limit,
         }
     };
 
-    let mut node = scan_node(start, true);
+    let mut node = scan_node(start);
     for step in join_steps {
         node = LogicalPlan::HashJoin {
             probe: Box::new(node),
-            build: Box::new(scan_node(step.alias, false)),
+            build: Box::new(scan_node(step.alias)),
             build_alias: aliases[step.alias].0.clone(),
             on: step
                 .cond_idxs
                 .iter()
                 .map(|&i| plan_predicate(&conditions[i]))
                 .collect(),
-            partitioned: if step.partitioned { threads } else { 1 },
+            partitioned: step.width,
         };
     }
     if !residual.is_empty() {
@@ -561,7 +561,6 @@ fn build_logical(
                 input: Box::new(node),
                 k,
                 keys: sort_keys,
-                partitioned: if threads > 1 { threads } else { 1 },
             },
             None => LogicalPlan::Sort {
                 input: Box::new(node),
@@ -572,7 +571,7 @@ fn build_logical(
         node = LogicalPlan::Limit {
             input: Box::new(node),
             k,
-            pushed_to_store: store_limit > 0,
+            pushed_to_store: access[start].store_limit > 0,
         };
     }
 

@@ -2,14 +2,16 @@
 //!
 //! A [`PhysicalPlan`] is the compiled, cacheable form of one SELECT: every
 //! name resolved to interned [`Symbol`]s, every planning decision (access
-//! paths, join order, pushdowns, serial-vs-partitioned operators) frozen,
-//! and parameters left as slots.  Executing it
+//! paths, join order, pushdowns, each scan's and join's worker width)
+//! frozen, and parameters left as slots.  Executing it
 //! ([`Executor::execute_plan`]) substitutes fresh parameter values into the
 //! condition templates and drives the same pull-based [`RowStream`]
 //! operator pipeline the executor has always used: scan → projected decode
 //! → filter → hash joins (build side materialized, probe side streamed) →
 //! residual filter → aggregate / top-k / take → project.
 //!
+//! Every operator is one piece of code at every width: the planner's width
+//! is data the operator runs with, never a choice between operators.
 //! Because the plan only freezes decisions the pre-planner executor made
 //! deterministically per statement, executing a plan charges **exactly**
 //! the simulated costs of the old single-shot path — pinned by the
@@ -20,10 +22,10 @@ use crate::bind::{
     PlannedCondition,
 };
 use crate::catalog::TableDef;
-use crate::executor::{stored_row_is_dirty, AccessPath, Executor};
+use crate::executor::{AccessPath, Executor};
 use crate::plan::LogicalPlan;
 use crate::result::{QueryError, QueryResult};
-use crate::stream::{collect_stream, par_top_k, top_k, Residency, RowStream};
+use crate::stream::{collect_stream, top_k, DecodeCtx, Residency, RowStream, ScanRows};
 use nosql_store::ops::Scan;
 use relational::{encode_key, Row, Symbol, Value, KEY_DELIMITER};
 use sql::AggregateFunction;
@@ -40,6 +42,17 @@ pub(crate) struct DecodeSpec {
     pub qual_syms: Option<Vec<Symbol>>,
     /// Projection mask over the table's columns (`None` = decode all).
     pub mask: Option<Vec<bool>>,
+}
+
+impl DecodeSpec {
+    /// The executable form of this spec over `def`.
+    fn ctx<'a>(&'a self, def: &'a TableDef) -> DecodeCtx<'a> {
+        DecodeCtx {
+            def,
+            qual_syms: self.qual_syms.as_deref(),
+            mask: self.mask.as_deref(),
+        }
+    }
 }
 
 /// Access details for an [`AccessPath::IndexScan`] alias.
@@ -63,6 +76,10 @@ pub(crate) struct AliasAccess {
     pub decode: DecodeSpec,
     /// Present when `path` is an index scan.
     pub index: Option<IndexAccess>,
+    /// Region-parallel scan workers (1 = the serial cursor).
+    pub width: usize,
+    /// Row limit pushed into the store scan (0 = none).
+    pub store_limit: usize,
 }
 
 /// One hash-join step: which alias joins in, on which conditions, with the
@@ -77,8 +94,8 @@ pub(crate) struct JoinStep {
     pub left_syms: Vec<Symbol>,
     /// Join-key symbols on the build side (alias-qualified).
     pub right_syms: Vec<Symbol>,
-    /// True when this join runs hash-partitioned across the pool.
-    pub partitioned: bool,
+    /// Hash partitions and probe workers (1 = streamed probe).
+    pub width: usize,
 }
 
 /// One resolved select item of an aggregate/GROUP BY output row.
@@ -130,11 +147,6 @@ pub struct PhysicalPlan {
     pub(crate) residual: Vec<usize>,
     /// Per-alias access decisions (same order as `aliases`).
     pub(crate) access: Vec<AliasAccess>,
-    /// Row limit pushed into the store scan (0 = none).
-    pub(crate) store_limit: usize,
-    /// True when a bare LIMIT stops pulling the pipeline early (which keeps
-    /// the source and joins on the lazily-pulled serial operators).
-    pub(crate) limit_stops_early: bool,
     /// The statement's `LIMIT k`, if any.
     pub(crate) limit: Option<usize>,
     /// The aggregate/GROUP BY sub-plan, when the statement aggregates.
@@ -174,14 +186,6 @@ impl PhysicalPlan {
     }
 }
 
-/// Whether an alias stream feeds the pipeline (probe side) or a hash-join
-/// build side — the two differ in limit pushdown and parallelism choices.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SourceRole {
-    Start,
-    Build,
-}
-
 /// A hash-join key; the single-condition case (all of TPC-W's joins)
 /// carries the value inline instead of allocating a per-row vector.  Keys
 /// own their values so the build map can outlive the probe stream's
@@ -206,74 +210,37 @@ impl JoinKey {
     }
 }
 
-/// A borrowed decode context: the plan's decode spec applied to one table
-/// definition (the executable form of [`DecodeSpec`]).
-#[derive(Clone, Copy)]
-struct DecodeCtx<'a> {
-    def: &'a TableDef,
-    qual_syms: Option<&'a [Symbol]>,
-    mask: Option<&'a [bool]>,
+/// One hash partition of a join's build side: join key → build-row
+/// indices, ascending, so each key's matches keep build-row order.
+// lint-allow(determinism): probe-only hash table; output order follows the probe side, never this map
+type JoinTable = HashMap<JoinKey, Vec<usize>>;
+
+/// The build side of one hash join: the newly joined alias's rows, frozen,
+/// hashed into one [`JoinTable`] per partition (none for a cross join,
+/// which matches every build row).
+struct JoinBuild<'a> {
+    rows: Vec<Row>,
+    tables: Vec<JoinTable>,
+    left_syms: &'a [Symbol],
 }
 
-impl<'a> DecodeCtx<'a> {
-    fn new(def: &'a TableDef, spec: &'a DecodeSpec) -> Self {
-        DecodeCtx {
-            def,
-            qual_syms: spec.qual_syms.as_deref(),
-            mask: spec.mask.as_deref(),
+impl JoinBuild<'_> {
+    /// Emits probe row `l` joined with each build row it matches, in build
+    /// order.  Both halves are frozen, so every emitted row shares them as
+    /// `Arc` slices ([`Row::join_concat`]) instead of deep-cloning entries.
+    fn probe(&self, mut l: Row, mut emit: impl FnMut(Row)) {
+        l.freeze();
+        if self.tables.is_empty() {
+            self.rows.iter().for_each(|r| emit(l.join_concat(r)));
+            return;
         }
-    }
-
-    fn decode(&self, stored: &nosql_store::ResultRow) -> Row {
-        match self.qual_syms {
-            Some(syms) => self.def.decode_row_qualified(stored, syms, self.mask),
-            None => match self.mask {
-                Some(mask) => self.def.decode_row_projected(stored, mask),
-                None => self.def.decode_row(stored),
-            },
-        }
-    }
-}
-
-/// A full-scan source running at `threads`-way parallelism: pulls batches
-/// of stored rows from a region-parallel cursor and decodes each batch on
-/// the pool, preserving row order.  Dirty markers surface as
-/// [`QueryError::DirtyRestart`] exactly as in the serial stream (the whole
-/// statement restarts, so decoding a batch past the marker is only wasted
-/// work, never wrong results).
-struct ParDecodeStream<'a> {
-    cursor: nosql_store::ParScanCursor,
-    ctx: DecodeCtx<'a>,
-    dirty_protection: bool,
-    threads: usize,
-    batch: std::vec::IntoIter<Result<Row, QueryError>>,
-}
-
-impl Iterator for ParDecodeStream<'_> {
-    type Item = Result<Row, QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(row) = self.batch.next() {
-                return Some(row);
-            }
-            // One store page per worker per batch keeps decode parallelism
-            // aligned with the scan fan-out without unbounded buffering.
-            let batch_rows = self.threads * nosql_store::SCAN_PAGE_ROWS;
-            let stored: Vec<nosql_store::ResultRow> =
-                self.cursor.by_ref().take(batch_rows).collect();
-            if stored.is_empty() {
-                return None;
-            }
-            let ctx = self.ctx;
-            let dirty_protection = self.dirty_protection;
-            self.batch = pool::map(stored, self.threads, |row| {
-                if dirty_protection && stored_row_is_dirty(&row) {
-                    return Err(QueryError::DirtyRestart);
-                }
-                Ok(ctx.decode(&row))
-            })
-            .into_iter();
+        let Some(key) = JoinKey::of(&l, self.left_syms) else {
+            return;
+        };
+        if let Some(matches) = self.tables[partition_of(&key, self.tables.len())].get(&key) {
+            matches
+                .iter()
+                .for_each(|&i| emit(l.join_concat(&self.rows[i])));
         }
     }
 }
@@ -316,18 +283,14 @@ impl Executor {
         let meter = Residency::default();
 
         // Source: the start alias's scan/get stream.
-        let mut stream = self.alias_stream(plan, plan.start, &bound, SourceRole::Start)?;
+        let mut stream = self.alias_stream(plan, plan.start, &bound)?;
 
         // Hash joins: each step materializes its build side (the newly
-        // joined alias) and streams the probe side through it.
+        // joined alias) and runs the probe side through it.
         for step in &plan.join_steps {
-            let right_stream = self.alias_stream(plan, step.alias, &bound, SourceRole::Build)?;
+            let right_stream = self.alias_stream(plan, step.alias, &bound)?;
             let right_rows = collect_stream(right_stream, &meter)?;
-            stream = if step.partitioned {
-                self.par_hash_join(stream, right_rows, step, &meter, plan.threads)?
-            } else {
-                self.hash_join_stream(stream, right_rows, step)
-            };
+            stream = self.hash_join(stream, right_rows, step, &meter)?;
         }
 
         if !plan.residual.is_empty() {
@@ -355,14 +318,6 @@ impl Executor {
         } else if !plan.order_keys.is_empty() {
             let cmp = order_comparator(&plan.order_keys);
             match plan.limit {
-                // Per-worker bounded heaps merged at the barrier: each
-                // worker selects its chunk's k best, the merge re-selects
-                // over the ≤ threads·k survivors.  The width is the plan's
-                // frozen decision, so execution always matches what the
-                // rendered plan tree documents.
-                Some(limit) if plan.threads > 1 => {
-                    par_top_k(stream, limit, cmp, &meter, plan.threads)?
-                }
                 // Bounded top-k heap: k rows resident instead of the full
                 // input.
                 Some(limit) => top_k(stream, limit, cmp, &meter)?,
@@ -395,44 +350,24 @@ impl Executor {
     }
 
     /// Opens the stream of one alias's rows following the plan's access
-    /// decision: the scan cursor (or point Get), mapped through dirty
-    /// detection and projected decode, filtered by the alias's single-alias
-    /// conditions.
-    ///
-    /// A dirty marker observed anywhere in the stream surfaces as
-    /// [`QueryError::DirtyRestart`], which restarts the whole statement.
-    /// The plan's store-level limit applies only to the start alias; a bare
-    /// LIMIT downstream keeps the start source on the serial cursor (the
-    /// batch-eager parallel source would forfeit early termination), while
-    /// build sides are always fully drained and may parallelize freely.
+    /// decision: a point Get, or the decoded scan source at the alias's
+    /// planned width and store limit, filtered by the alias's single-alias
+    /// conditions.  A dirty marker observed anywhere in the stream surfaces
+    /// as [`QueryError::DirtyRestart`], which restarts the whole statement.
     fn alias_stream<'a>(
         &'a self,
         plan: &'a PhysicalPlan,
         ai: usize,
         bound: &[BoundCondition],
-        role: SourceRole,
     ) -> Result<RowStream<'a>, QueryError> {
         let (_, def) = &plan.aliases[ai];
         let access = &plan.access[ai];
         let eq_filters = eq_filter_values(&plan.conditions, bound, &plan.single_alias[ai]);
-        let (store_limit, prefer_serial) = match role {
-            SourceRole::Start => (plan.store_limit, plan.limit_stops_early),
-            SourceRole::Build => (0, false),
-        };
-        let ctx = DecodeCtx::new(def, &access.decode);
+        let ctx = access.decode.ctx(def);
 
         let base: RowStream<'a> = match &access.path {
             AccessPath::KeyGet => {
-                let key = def.encode_row_key(&eq_filter_row(&eq_filters));
-                let row = match self.cluster().get(&def.name, self.bounded_get(key))? {
-                    Some(stored) => {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Some(ctx.decode(&stored))
-                    }
-                    None => None,
-                };
+                let row = self.get_decoded(ctx, def.encode_row_key(&eq_filter_row(&eq_filters)))?;
                 Box::new(row.into_iter().map(Ok))
             }
             AccessPath::KeyPrefixScan => {
@@ -449,15 +384,7 @@ impl Executor {
                     // does not also match keys starting with "420".
                     prefix.push(KEY_DELIMITER);
                 }
-                let scan = Scan::prefix(prefix)
-                    .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                Box::new(cursor.map(move |stored| {
-                    if self.is_dirty(&stored) {
-                        return Err(QueryError::DirtyRestart);
-                    }
-                    Ok(ctx.decode(&stored))
-                }))
+                self.decoded_scan(ctx, Scan::prefix(prefix), access)?
             }
             AccessPath::IndexScan { .. } => {
                 let index = access
@@ -476,45 +403,16 @@ impl Executor {
                     prefix.push(KEY_DELIMITER);
                 }
                 if index.covered {
-                    let index_ctx = DecodeCtx::new(index_def, &index.decode);
-                    let scan = Scan::prefix(prefix)
-                        .with_columns(self.scan_projection(index_def, index_ctx.mask));
-                    let cursor =
-                        self.cluster().scan_stream(&index_def.name, self.bounded_scan(scan))?;
-                    Box::new(cursor.map(move |stored| {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Ok(index_ctx.decode(&stored))
-                    }))
+                    self.decoded_scan(index.decode.ctx(index_def), Scan::prefix(prefix), access)?
                 } else {
-                    // Stream the index entries and look up each base row by
-                    // primary key as it is pulled; the index row is decoded
-                    // bare (it only feeds key encoding).
-                    let cursor = self
-                        .cluster()
-                        .scan_stream(&index_def.name, self.bounded_scan(Scan::prefix(prefix)))?;
+                    // Stream the index entries (decoded bare: they only feed
+                    // key encoding) and look up each base row by primary key
+                    // as it is pulled.
+                    let entries =
+                        self.decoded_scan(DecodeCtx::bare(index_def), Scan::prefix(prefix), access)?;
                     Box::new(
-                        cursor
-                            .map(move |stored| -> Result<Option<Row>, QueryError> {
-                                if self.is_dirty(&stored) {
-                                    return Err(QueryError::DirtyRestart);
-                                }
-                                let index_row = index_def.decode_row(&stored);
-                                let base_key = ctx.def.encode_row_key(&index_row);
-                                match self
-                                    .cluster()
-                                    .get(&ctx.def.name, self.bounded_get(base_key))?
-                                {
-                                    Some(base) => {
-                                        if self.is_dirty(&base) {
-                                            return Err(QueryError::DirtyRestart);
-                                        }
-                                        Ok(Some(ctx.decode(&base)))
-                                    }
-                                    None => Ok(None),
-                                }
-                            })
+                        entries
+                            .map(move |entry| self.get_decoded(ctx, ctx.def.encode_row_key(&entry?)))
                             .filter_map(Result::transpose),
                     )
                 }
@@ -536,49 +434,10 @@ impl Executor {
                 let scan = match bounds.as_ref().and_then(|(lo, hi)| range_scan_bounds(lo, hi)) {
                     Some((start, stop)) => Scan::range(start, stop),
                     None => Scan::all(),
-                }
-                .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                Box::new(cursor.map(move |stored| {
-                    if self.is_dirty(&stored) {
-                        return Err(QueryError::DirtyRestart);
-                    }
-                    Ok(ctx.decode(&stored))
-                }))
+                };
+                self.decoded_scan(ctx, scan, access)?
             }
-            AccessPath::FullScan => {
-                let scan = Scan::all()
-                    .with_limit(store_limit)
-                    .with_columns(self.scan_projection(def, ctx.mask));
-                // Parallel source: region-partitioned scan workers feeding
-                // batch-parallel decode.  Limit-pushed scans stay serial —
-                // they touch O(k) rows, below any fan-out's break-even —
-                // as do sources a bare LIMIT will stop pulling early.  The
-                // width is the plan's frozen decision (`plan.threads`), not
-                // the executing executor's configuration.
-                if plan.threads > 1 && store_limit == 0 && !prefer_serial {
-                    let cursor = self.cluster().par_scan_stream(
-                        &def.name,
-                        self.bounded_scan(scan),
-                        plan.threads,
-                    )?;
-                    Box::new(ParDecodeStream {
-                        cursor,
-                        ctx,
-                        dirty_protection: self.dirty_protection(),
-                        threads: plan.threads,
-                        batch: Vec::new().into_iter(),
-                    })
-                } else {
-                    let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                    Box::new(cursor.map(move |stored| {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Ok(ctx.decode(&stored))
-                    }))
-                }
-            }
+            AccessPath::FullScan => self.decoded_scan(ctx, Scan::all(), access)?,
         };
 
         // Apply every single-alias filter (equality and range) on the
@@ -602,99 +461,61 @@ impl Executor {
         })))
     }
 
-    /// Client-side hash join: the build side (`right`, the newly joined
-    /// alias) is materialized and hashed; the probe side streams through it
-    /// row by row, so the intermediate result is never buffered.  Charges
-    /// shuffle cost per row on both sides and probe cost per probe —
-    /// identical totals to the former materialized join when the stream is
-    /// fully consumed, and strictly less when a LIMIT stops it early.
-    ///
-    /// Both sides are frozen, so every emitted row shares its left and
-    /// right halves as `Arc` slices ([`Row::join_concat`]) with the input
-    /// rows instead of deep-cloning the entries.
-    fn hash_join_stream<'a>(
-        &'a self,
-        left: RowStream<'a>,
-        mut right: Vec<Row>,
-        step: &JoinStep,
-    ) -> RowStream<'a> {
-        let model = self.cluster().cost_model();
+    /// Point-gets `key` from `ctx`'s table and decodes the row; a dirty
+    /// marker surfaces as [`QueryError::DirtyRestart`].
+    fn get_decoded(&self, ctx: DecodeCtx<'_>, key: String) -> Result<Option<Row>, QueryError> {
         self.cluster()
-            .clock()
-            .charge(model.shuffle_cost(right.len() as u64));
-        for row in &mut right {
-            row.freeze();
-        }
-
-        if step.cond_idxs.is_empty() {
-            // Cross join (rare; only used when the workload really asks for it).
-            return Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
-                match l {
-                    Err(e) => vec![Err(e)],
-                    Ok(mut l) => {
-                        self.cluster().clock().charge(model.shuffle_cost(1));
-                        l.freeze();
-                        right.iter().map(|r| Ok(l.join_concat(r))).collect()
-                    }
-                }
-            }));
-        }
-
-        let left_syms = step.left_syms.clone();
-        let right_syms = &step.right_syms;
-
-        // Build side: hash the right rows on the join attribute values.
-        // lint-allow(determinism): probe-only hash table; output order follows `left`, never this map
-        let mut build: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(right.len());
-        for (i, row) in right.iter().enumerate() {
-            if let Some(key) = JoinKey::of(row, right_syms) {
-                build.entry(key).or_default().push(i);
-            }
-        }
-
-        Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
-            match l {
-                Err(e) => vec![Err(e)],
-                Ok(mut l) => {
-                    self.cluster()
-                        .clock()
-                        .charge(model.shuffle_cost(1) + model.probe_cost(1));
-                    l.freeze();
-                    let Some(key) = JoinKey::of(&l, &left_syms) else {
-                        return Vec::new();
-                    };
-                    match build.get(&key) {
-                        Some(matches) => matches
-                            .iter()
-                            .map(|&i| Ok(l.join_concat(&right[i])))
-                            .collect(),
-                        None => Vec::new(),
-                    }
-                }
-            }
-        }))
+            .get(&ctx.def.name, self.bounded_get(key))?
+            .map(|stored| ctx.decode(&stored, self.dirty_protection()))
+            .transpose()
     }
 
-    /// Partitioned parallel hash join.  The build side is hash-partitioned
-    /// into `threads` independent hash tables built concurrently; the probe
-    /// side is materialized (metered through `meter`, since the rows really
-    /// are resident), chunked contiguously, and each chunk probes the shared
-    /// read-only partition tables on its own worker.  Chunk outputs
-    /// concatenate in probe order and partition tables preserve build-row
-    /// order per key, so the emitted rows are **identical, order included**,
-    /// to [`Executor::hash_join_stream`].
+    /// Opens the decoded scan source over `ctx`'s table for one alias: the
+    /// alias's store limit and the decode projection pushed into `scan`,
+    /// the executor's snapshot bound applied, run at the alias's width.
+    fn decoded_scan<'a>(
+        &self,
+        ctx: DecodeCtx<'a>,
+        scan: Scan,
+        access: &AliasAccess,
+    ) -> Result<RowStream<'a>, QueryError> {
+        let scan = scan
+            .with_limit(access.store_limit)
+            .with_columns(self.scan_projection(ctx.def, ctx.mask));
+        Ok(Box::new(ScanRows::open(
+            self.cluster(),
+            ctx,
+            self.bounded_scan(scan),
+            access.width,
+            self.dirty_protection(),
+        )?))
+    }
+
+    /// Client-side hash join of one plan step.  The build side (`right`,
+    /// the newly joined alias) is materialized, frozen and hashed into
+    /// `step.width` partitions; it charges shuffle cost per build row.
     ///
-    /// Sim accounting follows the parallel merge rule: the build-side
-    /// shuffle charges in full (sum — every row is shipped by some worker),
-    /// while the per-probe-row shuffle + probe cost charges for the largest
-    /// chunk only (max — workers probe concurrently).
-    fn par_hash_join<'a>(
+    /// The probe side then runs one of two drivers over the same
+    /// [`JoinBuild::probe`]:
+    ///
+    /// * **width 1 — streamed**: probe rows pull through one at a time, so
+    ///   the intermediate result is never buffered; each charges shuffle +
+    ///   probe cost, and a LIMIT that stops pulling charges strictly less.
+    /// * **width > 1 — chunked**: the probe side is materialized (metered
+    ///   through `meter`, since the rows really are resident), chunked
+    ///   contiguously, and each chunk probes on its own worker.  Shuffle +
+    ///   probe cost charges for the largest chunk only (the parallel merge
+    ///   rule: workers probe concurrently).
+    ///
+    /// Chunk outputs concatenate in probe order and partitions keep
+    /// build-row order per key, so both drivers emit identical rows in
+    /// identical order.
+    fn hash_join<'a>(
         &'a self,
         left: RowStream<'a>,
         mut right: Vec<Row>,
-        step: &JoinStep,
+        step: &'a JoinStep,
         meter: &Residency,
-        threads: usize,
     ) -> Result<RowStream<'a>, QueryError> {
         let model = self.cluster().cost_model();
         self.cluster()
@@ -703,48 +524,51 @@ impl Executor {
         for row in &mut right {
             row.freeze();
         }
+        let tables = if step.cond_idxs.is_empty() {
+            Vec::new()
+        } else {
+            build_tables(&right, &step.right_syms, step.width)
+        };
+        let build = JoinBuild {
+            rows: right,
+            tables,
+            left_syms: &step.left_syms,
+        };
 
-        // Partition pass (serial, O(build), one key extraction per row),
-        // then per-partition table builds on the pool.  Indices stay
-        // ascending within a partition, so each key's match list keeps
-        // build-row order.
-        let mut partitions: Vec<Vec<(JoinKey, usize)>> = vec![Vec::new(); threads];
-        for (i, row) in right.iter().enumerate() {
-            if let Some(key) = JoinKey::of(row, &step.right_syms) {
-                partitions[partition_of(&key, threads)].push((key, i));
-            }
+        if step.width == 1 {
+            // A cross join (rare; only when the workload really asks for
+            // it) ships each probe row but probes no table.
+            let per_row = if build.tables.is_empty() {
+                model.shuffle_cost(1)
+            } else {
+                model.shuffle_cost(1) + model.probe_cost(1)
+            };
+            return Ok(Box::new(left.flat_map(
+                move |l| -> Vec<Result<Row, QueryError>> {
+                    let mut out = Vec::new();
+                    match l {
+                        Err(e) => out.push(Err(e)),
+                        Ok(l) => {
+                            self.cluster().clock().charge(per_row);
+                            build.probe(l, |row| out.push(Ok(row)));
+                        }
+                    }
+                    out
+                },
+            )));
         }
-        // lint-allow(determinism): probe-only hash tables; output order follows `left`, never these maps
-        let tables: Vec<HashMap<JoinKey, Vec<usize>>> =
-            pool::map(partitions, threads, |entries| {
-                let mut table: HashMap<JoinKey, Vec<usize>> = // lint-allow(determinism): probe-only
-                    HashMap::with_capacity(entries.len()); // lint-allow(determinism): probe-only
-                for (key, i) in entries {
-                    table.entry(key).or_default().push(i);
-                }
-                table
-            });
 
-        // Probe side: materialize and meter, then probe chunk-parallel.
         let probe = collect_stream(left, meter)?;
-        let ranges = pool::chunk_ranges(probe.len(), threads);
+        let ranges = pool::chunk_ranges(probe.len(), step.width);
         let largest_chunk = ranges.iter().map(std::ops::Range::len).max().unwrap_or(0) as u64;
         self.cluster()
             .clock()
             .charge(model.shuffle_cost(largest_chunk) + model.probe_cost(largest_chunk));
-        let tables_ref = &tables;
-        let left_syms_ref = &step.left_syms;
-        let right_ref = &right;
-        let outputs: Vec<Vec<Row>> = pool::map_chunked(probe, threads, |chunk| {
+        let build = &build;
+        let outputs: Vec<Vec<Row>> = pool::map_chunked(probe, step.width, |chunk| {
             let mut out = Vec::new();
-            for mut l in chunk {
-                l.freeze();
-                let Some(key) = JoinKey::of(&l, left_syms_ref) else {
-                    continue;
-                };
-                if let Some(matches) = tables_ref[partition_of(&key, threads)].get(&key) {
-                    out.extend(matches.iter().map(|&i| l.join_concat(&right_ref[i])));
-                }
+            for l in chunk {
+                build.probe(l, |row| out.push(row));
             }
             out
         });
@@ -756,9 +580,48 @@ impl Executor {
 // Helpers (free functions so they are easy to unit test)
 // ----------------------------------------------------------------------
 
-/// The hash partition a join key belongs to.  `DefaultHasher::new()` is
-/// deterministic (fixed keys), so build and probe agree — and repeated runs
-/// partition identically, keeping parallel sim figures reproducible.
+/// Hashes the build rows on their join key into `width` partition tables.
+/// Width 1 builds the single table directly (no key is hashed just to pick
+/// partition 0); wider builds partition in one serial pass, then build the
+/// per-partition tables on the pool.
+fn build_tables(rows: &[Row], syms: &[Symbol], width: usize) -> Vec<JoinTable> {
+    let keyed = rows
+        .iter()
+        .enumerate()
+        .filter_map(|(i, row)| JoinKey::of(row, syms).map(|key| (key, i)));
+    if width == 1 {
+        return vec![join_table(keyed)];
+    }
+    let mut partitions: Vec<Vec<(JoinKey, usize)>> = vec![Vec::new(); width];
+    for (key, i) in keyed {
+        partitions[partition_of(&key, width)].push((key, i));
+    }
+    pool::map(partitions, width, join_table)
+}
+
+fn join_table(entries: impl IntoIterator<Item = (JoinKey, usize)>) -> JoinTable {
+    let entries = entries.into_iter();
+    let mut table = JoinTable::with_capacity(entries.size_hint().1.unwrap_or(0));
+    for (key, i) in entries {
+        table.entry(key).or_default().push(i);
+    }
+    table
+}
+
+/// The hash partition a join key belongs to (0 for a single partition,
+/// without hashing).  `DefaultHasher::new()` is deterministic (fixed keys),
+/// so build and probe agree — and repeated runs partition identically,
+/// keeping parallel sim figures reproducible.
+fn partition_of(key: &JoinKey, parts: usize) -> usize {
+    if parts <= 1 {
+        return 0;
+    }
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() % parts as u64) as usize
+}
+
 /// Store-scan bounds `[start, stop)` covering every key whose leading
 /// component lies in the inclusive value interval `[lo, hi]`, or `None`
 /// when encoded keys do not sort like the values over that interval
@@ -791,13 +654,6 @@ const RANGE_STOP_SENTINEL: char = '\u{2}';
 
 fn decimal_width(v: i64) -> usize {
     v.to_string().len()
-}
-
-fn partition_of(key: &JoinKey, parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() % parts.max(1) as u64) as usize
 }
 
 /// Evaluates any bound condition against a joined row (used for residual
@@ -913,7 +769,7 @@ fn compute_aggregate(
 
 /// The ORDER BY comparator over the plan's resolved sort keys; shared by
 /// the full sort and the bounded top-k operators.
-fn order_comparator(keys: &[(Symbol, bool)]) -> impl Fn(&Row, &Row) -> Ordering + Sync {
+fn order_comparator(keys: &[(Symbol, bool)]) -> impl Fn(&Row, &Row) -> Ordering {
     let keys = keys.to_vec();
     move |a: &Row, b: &Row| {
         for (sym, descending) in &keys {

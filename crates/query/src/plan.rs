@@ -3,8 +3,8 @@
 //! A [`LogicalPlan`] is an operator tree over bound [`Symbol`]s describing
 //! *what* a statement computes and which planning decisions the optimizer
 //! made: access paths, predicate placement, join order and build sides,
-//! pushed-down limits and projections, and serial-vs-partitioned operator
-//! choices.  It is the artifact `EXPLAIN` renders — a stable, indented tree
+//! pushed-down limits and projections, and the worker width of every scan
+//! and join.  It is the artifact `EXPLAIN` renders — a stable, indented tree
 //! whose text is pinned by golden snapshot tests — and the shape the
 //! physical plan ([`crate::PhysicalPlan`]) is compiled from.
 //!
@@ -153,8 +153,6 @@ pub enum LogicalPlan {
         k: usize,
         /// Sort keys in priority order.
         keys: Vec<SortKey>,
-        /// Per-worker bounded heaps merged at a barrier (1 = serial heap).
-        partitioned: usize,
     },
     /// Plain LIMIT: stop pulling the input after `k` rows.
     Limit {
@@ -259,17 +257,8 @@ impl LogicalPlan {
                 out.push_str(&format!("Sort by=[{}]\n", join_display(keys)));
                 input.render_into(out, depth + 1);
             }
-            LogicalPlan::TopK {
-                input,
-                k,
-                keys,
-                partitioned,
-            } => {
-                out.push_str(&format!("TopK k={k} by=[{}]", join_display(keys)));
-                if *partitioned > 1 {
-                    out.push_str(&format!(" partitioned=x{partitioned}"));
-                }
-                out.push('\n');
+            LogicalPlan::TopK { input, k, keys } => {
+                out.push_str(&format!("TopK k={k} by=[{}]\n", join_display(keys)));
                 input.render_into(out, depth + 1);
             }
             LogicalPlan::Limit {

@@ -7,15 +7,131 @@
 //! buffers — hold rows.  [`Residency`] meters exactly those buffers so the
 //! memory footprint of a statement is measured, not asserted, and
 //! [`top_k`] keeps the ORDER BY + LIMIT buffer bounded at `k` rows.
+//!
+//! Every multi-row store read enters the pipeline through one source,
+//! [`ScanRows`]: a [`ParScanCursor`] at the planner's width, decoded one
+//! store page per worker per batch.
 
+use crate::catalog::TableDef;
+use crate::executor::stored_row_is_dirty;
 use crate::result::QueryError;
-use relational::Row;
+use nosql_store::ops::Scan;
+use nosql_store::{Cluster, ParScanCursor, ResultRow};
+use relational::{Row, Symbol};
 use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// A pull-based stream of decoded rows.  Errors (store failures, dirty-row
 /// restarts) flow through the stream and abort the pipeline at the consumer.
 pub(crate) type RowStream<'a> = Box<dyn Iterator<Item = Result<Row, QueryError>> + 'a>;
+
+/// A borrowed decode context: a plan's decode spec applied to one table
+/// definition.  [`DecodeCtx::bare`] decodes like [`TableDef::decode_row`].
+#[derive(Clone, Copy)]
+pub(crate) struct DecodeCtx<'a> {
+    pub def: &'a TableDef,
+    /// Alias-qualified output symbols, indexed by the table's column order.
+    pub qual_syms: Option<&'a [Symbol]>,
+    /// Projection mask over the table's columns (`None` = decode all).
+    pub mask: Option<&'a [bool]>,
+}
+
+impl<'a> DecodeCtx<'a> {
+    /// Decodes every column under its bare name.
+    pub fn bare(def: &'a TableDef) -> Self {
+        DecodeCtx {
+            def,
+            qual_syms: None,
+            mask: None,
+        }
+    }
+
+    /// Decodes `stored`, or reports [`QueryError::DirtyRestart`] when
+    /// `dirty_check` is on and the row carries the dirty marker.
+    pub fn decode(&self, stored: &ResultRow, dirty_check: bool) -> Result<Row, QueryError> {
+        if dirty_check && stored_row_is_dirty(stored) {
+            return Err(QueryError::DirtyRestart);
+        }
+        Ok(match self.qual_syms {
+            Some(syms) => self.def.decode_row_qualified(stored, syms, self.mask),
+            None => match self.mask {
+                Some(mask) => self.def.decode_row_projected(stored, mask),
+                None => self.def.decode_row(stored),
+            },
+        })
+    }
+}
+
+/// The decoded scan source: the rows of one store scan, decoded in order.
+///
+/// It pulls one store page per worker per batch from a
+/// [`Cluster::par_scan_stream`] cursor opened at `width` workers and decodes
+/// the batch on [`pool::map`], one page per worker; width 1 decodes inline,
+/// one page at a time, so it never fetches (or charges) a page the
+/// row-at-a-time cursor would not have fetched by the same row.  With
+/// dirty checking on, a dirty marker surfaces as
+/// [`QueryError::DirtyRestart`] at its row; a scan the store could not
+/// finish ends with [`QueryError::Store`] after the rows it did return, so
+/// a truncated scan never passes for a complete one.
+pub struct ScanRows<'a> {
+    cursor: ParScanCursor,
+    ctx: DecodeCtx<'a>,
+    dirty_check: bool,
+    width: usize,
+    batch: std::iter::Flatten<std::vec::IntoIter<Vec<Result<Row, QueryError>>>>,
+}
+
+impl<'a> ScanRows<'a> {
+    /// Opens `scan` over `ctx.def`'s table at `width` workers.
+    pub(crate) fn open(
+        cluster: &Cluster,
+        ctx: DecodeCtx<'a>,
+        scan: Scan,
+        width: usize,
+        dirty_check: bool,
+    ) -> Result<Self, QueryError> {
+        Ok(ScanRows {
+            cursor: cluster.par_scan_stream(&ctx.def.name, scan, width)?,
+            ctx,
+            dirty_check,
+            width,
+            batch: Vec::new().into_iter().flatten(),
+        })
+    }
+}
+
+impl Iterator for ScanRows<'_> {
+    type Item = Result<Row, QueryError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(row) = self.batch.next() {
+                return Some(row);
+            }
+            let pages: Vec<Vec<ResultRow>> = (0..self.width)
+                .map_while(|_| self.cursor.next_page())
+                .collect();
+            if pages.is_empty() {
+                return self.cursor.take_error().map(|e| Err(QueryError::Store(e)));
+            }
+            let (ctx, dirty_check) = (self.ctx, self.dirty_check);
+            self.batch = pool::map(pages, self.width, |page| {
+                let mut rows = Vec::with_capacity(page.len());
+                for stored in &page {
+                    rows.push(ctx.decode(stored, dirty_check));
+                    if rows.last().is_some_and(Result::is_err) {
+                        // The statement restarts at a dirty row: decoding
+                        // past it would be wasted work.
+                        break;
+                    }
+                }
+                rows
+            })
+            .into_iter()
+            .flatten();
+        }
+    }
+}
 
 /// Counts the rows the executor holds materialized at once: hash-join build
 /// sides, aggregation input, sort / top-k buffers and the emitted result.
@@ -39,13 +155,6 @@ impl Residency {
     /// The statement's high-water mark of resident rows.
     pub(crate) fn peak(&self) -> usize {
         self.peak.get()
-    }
-
-    /// Records `n` rows leaving the materialized working set (e.g. a
-    /// processed batch whose rows were dropped by a bounded heap).  The
-    /// peak is unaffected.
-    pub(crate) fn remove(&self, n: usize) {
-        self.current.set(self.current.get().saturating_sub(n));
     }
 }
 
@@ -91,78 +200,8 @@ pub(crate) fn top_k(
     Ok(heap)
 }
 
-/// Parallel ORDER BY + LIMIT: per-worker bounded heaps merged at the
-/// barrier.  The input streams through in order-preserving **batches** —
-/// each batch is split into contiguous chunks, chunk *i* feeding worker
-/// *i*'s persistent bounded heap — so residency stays at one batch plus
-/// `threads · k` heap rows instead of the whole input.  Rows a worker
-/// drops were beaten by `k` retained rows, hence are globally droppable;
-/// the final merge re-selects over the ≤ `threads · k` survivors (ties
-/// resolved arbitrarily, like any top-k heap).
-pub(crate) fn par_top_k(
-    mut stream: RowStream<'_>,
-    k: usize,
-    cmp: impl Fn(&Row, &Row) -> Ordering + Sync,
-    meter: &Residency,
-    threads: usize,
-) -> Result<Vec<Row>, QueryError> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let cmp = &cmp;
-    let batch_rows = (threads * 1_024).max(k);
-    let mut heaps: Vec<Vec<Row>> = Vec::new();
-    loop {
-        let mut batch: Vec<Row> = Vec::new();
-        for row in stream.by_ref().take(batch_rows) {
-            batch.push(row?);
-        }
-        if batch.is_empty() {
-            break;
-        }
-        let collected = batch.len();
-        meter.add(collected);
-        let retained_before: usize = heaps.iter().map(Vec::len).sum();
-        // Pair each chunk with a persistent heap (chunk count can shrink on
-        // the final short batch; unpaired heaps just carry over).
-        let ranges = pool::chunk_ranges(batch.len(), threads);
-        while heaps.len() < ranges.len() {
-            heaps.push(Vec::with_capacity(k));
-        }
-        let carried: Vec<Vec<Row>> = heaps.split_off(ranges.len());
-        let mut chunks: Vec<Vec<Row>> = Vec::with_capacity(ranges.len());
-        for range in ranges.iter().rev() {
-            chunks.push(batch.split_off(range.start));
-        }
-        chunks.reverse();
-        heaps = pool::map(
-            std::mem::take(&mut heaps).into_iter().zip(chunks).collect(),
-            threads,
-            |(mut heap, chunk)| {
-                for row in chunk {
-                    push_bounded(&mut heap, row, k, cmp);
-                }
-                heap
-            },
-        );
-        heaps.extend(carried);
-        let retained_after: usize = heaps.iter().map(Vec::len).sum();
-        // Rows the heaps dropped leave the working set; retained growth stays.
-        meter.remove(collected - (retained_after - retained_before));
-    }
-    let mut heap: Vec<Row> = Vec::with_capacity(k);
-    for row in heaps.into_iter().flatten() {
-        // Survivors were already metered as retained rows; the merge
-        // re-selects among them without materializing anything new.
-        push_bounded(&mut heap, row, k, cmp);
-    }
-    heap.sort_by(|a, b| cmp(a, b));
-    Ok(heap)
-}
-
 /// Inserts `row` into a bounded max-at-root heap of capacity `k`, evicting
-/// the worst retained row when full (the primitive both [`top_k`] and
-/// [`par_top_k`] are built from).
+/// the worst retained row when full.
 fn push_bounded(heap: &mut Vec<Row>, row: Row, k: usize, cmp: &impl Fn(&Row, &Row) -> Ordering) {
     if heap.len() < k {
         heap.push(row);

@@ -1,11 +1,13 @@
 //! Parallel-executor equivalence: the same statements evaluated at
 //! `threads` ∈ {2, 4} must return exactly the rows (order included) the
-//! serial executor returns — across multi-region full scans, partitioned
-//! hash joins, residual filters, parallel top-k and aggregation.
+//! serial executor returns — across every access path of the decoded scan
+//! source (multi-region full scans, key ranges, covered and non-covered
+//! index scans), partitioned hash joins, residual filters, top-k and
+//! aggregation.
 
 use nosql_store::{Cluster, ClusterConfig};
 use query::{baseline, ColumnType, Executor};
-use relational::{Relation, Row, Schema};
+use relational::{Index, Relation, Row, Schema};
 use sql::parse_statement;
 
 /// A two-table database big enough to split into several regions (small
@@ -24,7 +26,14 @@ fn executor(threads: usize) -> Executor {
                 .primary_key(["o_id"])
                 .foreign_key("o_c_id", "Customer", "c_id")
                 .build(),
-        );
+        )
+        // Keyed on o_c_id ++ o_id: covers o_id and o_c_id, not o_total.
+        .with_index(Index::new(
+            "Orders_by_customer",
+            "Orders",
+            ["o_c_id"],
+            ["o_c_id"],
+        ));
     let catalog = baseline::baseline_catalog_with_types(&schema, &|_, column| match column {
         "c_id" | "o_id" | "o_c_id" => Some(ColumnType::Int),
         "o_total" => Some(ColumnType::Float),
@@ -75,6 +84,12 @@ const QUERIES: &[&str] = &[
     "SELECT * FROM Orders LIMIT 10",
     // Aggregation over the parallel scan.
     "SELECT c_group, COUNT(*) FROM Customer GROUP BY c_group",
+    // Key-range scan (bounds of equal decimal width clamp the walk).
+    "SELECT * FROM Orders WHERE o_id >= 100 AND o_id <= 499",
+    // Covered index scan.
+    "SELECT o_id FROM Orders WHERE o_c_id = 17",
+    // Non-covered index scan: index entries, then a Get per base row.
+    "SELECT * FROM Orders WHERE o_c_id = 17",
 ];
 
 #[test]
@@ -95,6 +110,18 @@ fn parallel_results_equal_serial_results_row_for_row() {
                 "threads={threads}, query: {sql_text}"
             );
         }
+    }
+}
+
+#[test]
+fn the_queries_cover_every_scan_access_path() {
+    let exec = executor(2);
+    let plans: String = QUERIES
+        .iter()
+        .map(|sql_text| exec.explain_sql(sql_text).unwrap())
+        .collect();
+    for access in ["access=full", "access=key-range", "access=index"] {
+        assert!(plans.contains(access), "no query plans {access}:\n{plans}");
     }
 }
 

@@ -771,14 +771,14 @@ impl MaintenanceEngine {
                 // view rows of items 420, 421, ...
                 prefix.push(KEY_DELIMITER);
             }
-            let cursor = self.executor.cluster().scan_stream(
-                &index.name,
+            let entries = self.executor.scan_rows(
+                index_def,
                 self.executor.bounded_scan(Scan::prefix(prefix)),
+                1,
             )?;
             let mut out = Vec::new();
-            for entry in cursor {
-                let index_row = index_def.decode_row(&entry);
-                if let Some(view_row) = self.executor.get_row_by_key(&view_table, &index_row)? {
+            for index_row in entries {
+                if let Some(view_row) = self.executor.get_row_by_key(&view_table, &index_row?)? {
                     out.push(view_row);
                 }
                 if full_key_match {
@@ -790,26 +790,26 @@ impl MaintenanceEngine {
 
         // Fall back to streaming the whole view and filtering client-side,
         // under the executor's snapshot bound: maintenance must not observe
-        // view rows newer than the query snapshot.  The walk is
-        // region-parallel at the executor's thread count (serial at 1), and
-        // the decode + filter fans out over the same workers.
-        let threads = self.executor.threads();
+        // view rows newer than the query snapshot.  The walk and decode run
+        // at the executor's width, and only the matches are kept.
         let view_def = self
             .executor
             .catalog()
             .table(&view_table)
             .ok_or_else(|| QueryError::UnknownTable(view_table.clone()))?;
-        let cursor = self.executor.cluster().par_scan_stream(
-            &view_table,
+        let rows = self.executor.scan_rows(
+            view_def,
             self.executor.bounded_scan(Scan::all()),
-            threads,
+            self.executor.threads(),
         )?;
-        Ok(query::par_decode_filtered(view_def, cursor, threads, |row| {
-            relation_pk.iter().all(|a| match (row.get(a), relation_key.get(a)) {
+        rows.filter(|row| match row {
+            Ok(row) => relation_pk.iter().all(|a| match (row.get(a), relation_key.get(a)) {
                 (Some(x), Some(y)) => x == y,
                 _ => false,
-            })
-        }))
+            }),
+            Err(_) => true,
+        })
+        .collect()
     }
 
     /// Marks a view row dirty (step 3 of the update transaction, §VIII-B).
